@@ -69,18 +69,15 @@ BatteryFaultInjector::tick()
                      battery_.failedCellFraction() +
                          config_.cellFailureStep);
         ++stats_.cellFailureEvents;
-        ctx_.stats().counter("battery.cell_failure_events").increment();
         battery_.setFailedCellFraction(fraction);
     }
     if (fade) {
         ++stats_.fadeEvents;
-        ctx_.stats().counter("battery.fade_events").increment();
         battery_.setAgeYears(battery_.ageYears() +
                              config_.fadeStepYears);
     }
     if (recover && battery_.failedCellFraction() > 0.0) {
         ++stats_.recoveryEvents;
-        ctx_.stats().counter("battery.recovery_events").increment();
         battery_.setFailedCellFraction(
             battery_.failedCellFraction() / 2.0);
     }

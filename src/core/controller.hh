@@ -254,14 +254,13 @@ class DirtyBudgetController : public PersistClient
     /**
      * Record a measured copy-out compression result (the substrate's
      * flush path calls this with the stored size it actually shipped;
-     * bypassed pages pass stored == raw).  Forwards to the tracker's
-     * compressibility metadata, which ewmaRatio()/floorRatio() — and
-     * through them the budget arithmetic — aggregate.
+     * bypassed pages pass stored == raw).  Forwards to the tracker,
+     * whose ewmaRatio()/floorRatio() — and through them the budget
+     * arithmetic — aggregate it.
      */
-    void notePageCompression(PageNum page, std::uint64_t stored,
-                             std::uint64_t raw)
+    void notePageCompression(std::uint64_t stored, std::uint64_t raw)
     {
-        tracker_.recordCompressibility(page, stored, raw);
+        tracker_.recordCompressibility(stored, raw);
     }
 
     const DirtyPageTracker &tracker() const { return tracker_; }

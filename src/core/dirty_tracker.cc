@@ -12,8 +12,9 @@ DirtyPageTracker::DirtyPageTracker(std::uint64_t page_count)
     VIYOJIT_ASSERT(page_count < npos,
                    "page count exceeds tracker index width");
     position_.assign(page_count, npos);
-    compressFrac_.assign(page_count, 0);
 }
+
+DirtyPageTracker::~DirtyPageTracker() = default;
 
 bool
 DirtyPageTracker::markDirty(PageNum page)
@@ -26,7 +27,6 @@ DirtyPageTracker::markDirty(PageNum page)
     highWatermark_ = std::max<std::uint64_t>(highWatermark_,
                                              dirtyList_.size());
     ++newThisEpoch_;
-    ++lifetimeEvents_;
     return true;
 }
 
@@ -61,19 +61,16 @@ DirtyPageTracker::forEachDirty(FunctionRef<void(PageNum)> fn) const
 }
 
 void
-DirtyPageTracker::recordCompressibility(PageNum page,
-                                        std::uint64_t stored,
+DirtyPageTracker::recordCompressibility(std::uint64_t stored,
                                         std::uint64_t raw)
 {
-    VIYOJIT_ASSERT(page < position_.size(), "page out of range");
     VIYOJIT_ASSERT(raw > 0 && stored > 0 && stored <= raw,
                    "stored size out of range");
     // Scaled stored-fraction, ceil so a byte saved never rounds to a
-    // better bucket than it earned; 0 stays reserved for "unknown".
+    // better bucket than it earned.
     const std::uint64_t scaled = (stored * 255 + raw - 1) / raw;
     const auto frac = static_cast<std::uint8_t>(
         std::clamp<std::uint64_t>(scaled, 1, 255));
-    compressFrac_[page] = frac;
 
     const double f = static_cast<double>(stored) /
                      static_cast<double>(raw);

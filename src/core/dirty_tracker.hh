@@ -32,6 +32,15 @@ class DirtyPageTracker
     explicit DirtyPageTracker(std::uint64_t page_count);
 
     /**
+     * Out of line on purpose.  Inlined into the controller's
+     * constructor unwind path, it makes gcc emit a standalone
+     * vector<PageNum> destructor, which flushAllDirty's unwind path
+     * then calls: an operator-delete edge that pathlint's no-alloc
+     * contract has no audit entry for.
+     */
+    ~DirtyPageTracker();
+
+    /**
      * Pre-size the dirty list for a dirty count up to `max_dirty`
      * (clamped to the page count), so steady-state markDirty never
      * heap-allocates — it runs on the fault path, which the real
@@ -79,31 +88,16 @@ class DirtyPageTracker
     /** Snapshot of the dirty set. */
     std::vector<PageNum> dirtyPages() const { return dirtyList_; }
 
-    /** Total pages ever marked dirty (lifetime, with repeats). */
-    std::uint64_t lifetimeDirtyEvents() const { return lifetimeEvents_; }
-
     std::uint64_t pageCount() const { return position_.size(); }
 
     /**
-     * Record a measured copy-out compression result for a page:
-     * `stored` bytes actually shipped for a `raw`-byte page (bypass
-     * callers pass stored == raw).  Feeds the per-page metadata and
-     * the two aggregates the budget arithmetic consumes, ewmaRatio()
-     * and floorRatio().  Allocation-free (fault/flush path safe).
+     * Record a measured copy-out compression result: `stored` bytes
+     * actually shipped for a `raw`-byte page (bypass callers pass
+     * stored == raw).  Feeds the two aggregates the budget arithmetic
+     * consumes, ewmaRatio() and floorRatio().  Allocation-free
+     * (fault/flush path safe).
      */
-    void recordCompressibility(PageNum page, std::uint64_t stored,
-                               std::uint64_t raw);
-
-    /**
-     * Last measured stored-fraction of a page, scaled to [1, 255]
-     * (ceil(stored*255/raw)); 0 = never measured.  Lower compresses
-     * better — victim selection may prefer high values (pages that
-     * barely compress buy the least budget by staying dirty).
-     */
-    std::uint8_t compressibility(PageNum page) const
-    {
-        return compressFrac_[page];
-    }
+    void recordCompressibility(std::uint64_t stored, std::uint64_t raw);
 
     /**
      * Exponentially-weighted average achieved compression ratio
@@ -138,10 +132,6 @@ class DirtyPageTracker
     std::vector<PageNum> dirtyList_;
     std::uint64_t highWatermark_ = 0;
     std::uint64_t newThisEpoch_ = 0;
-    std::uint64_t lifetimeEvents_ = 0;
-
-    /** Per-page scaled stored-fraction; 0 = never measured. */
-    std::vector<std::uint8_t> compressFrac_;
 
     /** EWMA of the stored fraction (stored/raw) over samples. */
     double ewmaFrac_ = 1.0;

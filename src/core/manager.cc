@@ -128,7 +128,6 @@ ViyojitManager::SimBackend::onAttemptComplete(PageNum page,
     auto it = inFlight_.find(page);
     if (it == inFlight_.end() || it->second.generation != generation) {
         ++faultStats_.staleCompletions;
-        mgr_.ctx_.stats().counter("io.stale_completions").increment();
         return;
     }
     if (status == storage::IoStatus::ok) {
@@ -143,11 +142,8 @@ ViyojitManager::SimBackend::onAttemptComplete(PageNum page,
         const std::uint64_t expected = it->second.submittedHash;
         if (mgr_.ssd_.durableHash(mgr_.key(page)) != expected) {
             ++faultStats_.verifyFailures;
-            mgr_.ctx_.stats().counter("io.verify_failures").increment();
-            if (from_run) {
+            if (from_run)
                 ++faultStats_.runSplits;
-                mgr_.ctx_.stats().counter("io.run_splits").increment();
-            }
             retryOrAbort(page);
             return;
         }
@@ -164,7 +160,6 @@ ViyojitManager::SimBackend::onAttemptComplete(PageNum page,
         // or transient error): split it out — retries run through the
         // per-page attempt chain while the rest of the run completes.
         ++faultStats_.runSplits;
-        mgr_.ctx_.stats().counter("io.run_splits").increment();
     }
     retryOrAbort(page);
 }
@@ -183,7 +178,6 @@ ViyojitManager::SimBackend::onAttemptTimeout(PageNum page,
         return;
     }
     ++faultStats_.timeouts;
-    mgr_.ctx_.stats().counter("io.timeouts").increment();
     // Invalidate the straggler, then treat the attempt as failed.
     it->second.generation = ++nextGeneration_;
     retryOrAbort(page);
@@ -200,7 +194,6 @@ ViyojitManager::SimBackend::retryOrAbort(PageNum page)
         inFlight_.erase(it);
         abortedPages_.insert(page);
         ++faultStats_.abortedCopies;
-        mgr_.ctx_.stats().counter("io.aborted_copies").increment();
         warn("page copy abandoned after ", mgr_.config_.maxIoRetries,
              " attempts (page ", page, "); left dirty");
         VIYOJIT_ASSERT(client_, "persist abort without client");
@@ -209,7 +202,6 @@ ViyojitManager::SimBackend::retryOrAbort(PageNum page)
     }
 
     ++faultStats_.retries;
-    mgr_.ctx_.stats().counter("io.retries").increment();
     const Tick resume = mgr_.ctx_.now() + backoffFor(io.attempts);
     io.nextEvent = resume;
     io.generation = ++nextGeneration_;
@@ -314,10 +306,7 @@ ViyojitManager::SimBackend::submitRunAttempt(PageNum first,
         it->second.submittedStored = stored[i];
     }
     ++faultStats_.runSubmits;
-    faultStats_.runPagesCoalesced.fetch_add(count,
-                                            std::memory_order_relaxed);
-    mgr_.ctx_.stats().counter("io.run_submits").increment();
-    mgr_.ctx_.stats().counter("io.run_pages").increment(count);
+    faultStats_.runPagesCoalesced += count;
 
     const Tick done = mgr_.ssd_.submitWriteRun(
         mgr_.key(first), count, hashes.data(), mgr_.config_.pageSize,
@@ -377,7 +366,6 @@ ViyojitManager::SimBackend::persistPageBlocking(PageNum page)
             mgr_.ssd_.durableHash(mgr_.key(page)) != expected) {
             ok = false;
             ++faultStats_.verifyFailures;
-            mgr_.ctx_.stats().counter("io.verify_failures").increment();
         }
         if (ok) {
             abortedPages_.erase(page);
@@ -385,7 +373,6 @@ ViyojitManager::SimBackend::persistPageBlocking(PageNum page)
             return;
         }
         ++faultStats_.retries;
-        mgr_.ctx_.stats().counter("io.retries").increment();
         if (attempt < mgr_.config_.maxIoRetries) {
             mgr_.ctx_.events().runUntil(mgr_.ctx_.now() +
                                         backoffFor(attempt));
@@ -891,10 +878,8 @@ ViyojitManager::scrubPass(std::uint64_t max_pages)
         // it (this also heals misdirected-write victims, whose own
         // writes were never at fault).
         ++report.mismatches;
-        ctx_.stats().counter("scrub.mismatches").increment();
         if (repairPageBlocking(p)) {
             ++report.repaired;
-            ctx_.stats().counter("scrub.repairs").increment();
         } else {
             ++report.repairFailures;
             warn("scrub could not repair page ", p,
@@ -965,9 +950,9 @@ ViyojitManager::measuredStoredSize(PageNum page)
     // the budget EWMA never sees a rosier ratio than the device.
     const std::uint64_t shipped = stored != 0 ? stored : ps;
     if (config_.enforceBudget)
-        controller_->notePageCompression(page, shipped, ps);
+        controller_->notePageCompression(shipped, ps);
     else
-        baselineDirty_->recordCompressibility(page, shipped, ps);
+        baselineDirty_->recordCompressibility(shipped, ps);
     return stored;
 }
 

@@ -18,7 +18,6 @@
 #ifndef VIYOJIT_CORE_MANAGER_HH
 #define VIYOJIT_CORE_MANAGER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -113,8 +112,9 @@ struct ScrubReport
     /** Pages skipped because they were dirty or had IO in flight. */
     std::uint64_t skippedBusy = 0;
 
-    /** Whole-pass skips: dirty set too close to the budget (the
-     *  scrubber must never steal flush bandwidth near the limit). */
+    /** Whole-pass skips: dirty set too close to the budget, or the
+     *  device queue full (the scrubber must never steal flush
+     *  headroom or IO slots from the controller). */
     std::uint64_t skippedBudget = 0;
 
     /** Durable-image mismatches detected against the clean DRAM copy. */
@@ -129,10 +129,8 @@ struct ScrubReport
 
 /**
  * IO fault-handling counters (fault model attached to the SSD).
- * Always obtained as a value snapshot: the backend keeps the live
- * counters atomic and materializes them in one read each, so a
- * reader concurrent with IO completions never sees a torn set
- * (e.g. a retry counted but its abort missing).
+ * Plain counters: like the rest of the manager they are written and
+ * read on the single simulation thread.
  */
 struct IoFaultStats
 {
@@ -174,12 +172,10 @@ struct IoFaultStats
  * Concurrency contract: a manager — like the controller it owns — is
  * externally synchronized and runs on the single simulation thread;
  * nothing here is annotated with a capability because there is no
- * lock to name.  The one exception is SimBackend's IO fault
- * counters, which tests read concurrently with simulated IO: they
- * are atomics materialized as coherent value snapshots.  When
- * managers shard one battery (ShardedBudgetDomain, the multi-shard
- * torture), the shared core::BudgetPool is the only thread-safe
- * seam, and its lock contracts live in budget_pool.hh.
+ * lock to name.  When managers shard one battery
+ * (ShardedBudgetDomain, the multi-shard torture), the shared
+ * core::BudgetPool is the only thread-safe seam, and its lock
+ * contracts live in budget_pool.hh.
  */
 class ViyojitManager
 {
@@ -302,9 +298,8 @@ class ViyojitManager
     std::uint64_t capacityPages() const { return capacityPages_; }
     std::uint64_t mappedPages() const { return nextFreePage_; }
 
-    /** Retry/timeout/abort counters of the simulated backend
-     *  (coherent value snapshot; see IoFaultStats). */
-    IoFaultStats ioFaultStats() const
+    /** Retry/timeout/abort counters of the simulated backend. */
+    const IoFaultStats &ioFaultStats() const
     {
         return backend_.faultStats();
     }
@@ -330,8 +325,8 @@ class ViyojitManager
      * compression is disabled on the SSD or the page trips the
      * incompressible bypass; otherwise the exact compressed byte
      * count (< pageSize).  When compression is enabled the measured
-     * ratio is also recorded as per-page compressibility metadata in
-     * the dirty tracker, which feeds the budget-scaling EWMA.
+     * ratio is also recorded in the dirty tracker, whose EWMA and
+     * floor ratios feed the budget arithmetic.
      */
     std::uint64_t measuredStoredSize(PageNum page);
 
@@ -370,28 +365,7 @@ class ViyojitManager
         unsigned outstandingIos() const override;
         bool canSubmit() const override;
 
-        /** Coherent value snapshot of the atomic counters. */
-        IoFaultStats faultStats() const
-        {
-            IoFaultStats out;
-            out.retries =
-                faultStats_.retries.load(std::memory_order_relaxed);
-            out.timeouts =
-                faultStats_.timeouts.load(std::memory_order_relaxed);
-            out.abortedCopies = faultStats_.abortedCopies.load(
-                std::memory_order_relaxed);
-            out.staleCompletions = faultStats_.staleCompletions.load(
-                std::memory_order_relaxed);
-            out.runSubmits =
-                faultStats_.runSubmits.load(std::memory_order_relaxed);
-            out.runPagesCoalesced = faultStats_.runPagesCoalesced.load(
-                std::memory_order_relaxed);
-            out.runSplits =
-                faultStats_.runSplits.load(std::memory_order_relaxed);
-            out.verifyFailures = faultStats_.verifyFailures.load(
-                std::memory_order_relaxed);
-            return out;
-        }
+        const IoFaultStats &faultStats() const { return faultStats_; }
 
         /** True while `page`'s last copy ended in an abort (left
          *  dirty); cleared by a later successful persist. */
@@ -457,25 +431,12 @@ class ViyojitManager
         /** Exponential backoff with jitter for attempt `n` (1-based). */
         Tick backoffFor(unsigned attempt);
 
-        /** Live counters; atomics so snapshots are never torn. */
-        struct AtomicIoFaultStats
-        {
-            std::atomic<std::uint64_t> retries{0};
-            std::atomic<std::uint64_t> timeouts{0};
-            std::atomic<std::uint64_t> abortedCopies{0};
-            std::atomic<std::uint64_t> staleCompletions{0};
-            std::atomic<std::uint64_t> runSubmits{0};
-            std::atomic<std::uint64_t> runPagesCoalesced{0};
-            std::atomic<std::uint64_t> runSplits{0};
-            std::atomic<std::uint64_t> verifyFailures{0};
-        };
-
         ViyojitManager &mgr_;
         std::unordered_map<PageNum, PendingCopy> inFlight_;
         std::unordered_set<PageNum> abortedPages_;
         Rng jitterRng_;
         std::uint64_t nextGeneration_ = 0;
-        AtomicIoFaultStats faultStats_;
+        IoFaultStats faultStats_;
     };
 
     void scheduleNextEpoch();

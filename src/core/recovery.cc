@@ -66,7 +66,6 @@ RecoveryManager::quarantine(PageNum page)
     resident_[page] = kQuarantined;
     ++residentCount_;
     ++stats_.quarantinedPages;
-    ctx_.stats().counter("recovery.quarantined_pages").increment();
     warn("recovery quarantined page ", page,
          " (unreadable or failed checksum verification)");
     if (residentCount_ == pageCount_)
@@ -87,24 +86,17 @@ RecoveryManager::checksumOk(PageNum page)
         return true;
 
     ++stats_.checksumMismatches;
-    ctx_.stats().counter("recovery.checksum_mismatches").increment();
     // Classify by where the commit sits relative to the last sealed
     // flush: newer-than-seal mismatches are the torn tail the crash
     // is allowed to have produced; at-the-seal mismatches mean data
     // moved past its sealed metadata (stale epoch); older mismatches
     // are silent media corruption of a long-committed page.
-    if (expect.epoch > manifest_.lastSealedEpoch) {
+    if (expect.epoch > manifest_.lastSealedEpoch)
         ++stats_.tornRunPages;
-        ctx_.stats().counter("recovery.torn_run_pages").increment();
-    } else if (expect.epoch == manifest_.lastSealedEpoch) {
+    else if (expect.epoch == manifest_.lastSealedEpoch)
         ++stats_.staleEpochPages;
-        ctx_.stats().counter("recovery.stale_epoch_pages").increment();
-    } else {
+    else
         ++stats_.silentCorruptPages;
-        ctx_.stats()
-            .counter("recovery.silent_corrupt_pages")
-            .increment();
-    }
     return false;
 }
 
@@ -155,13 +147,9 @@ RecoveryManager::onReadDone(PageNum page, unsigned attempt,
         inFlight_.erase(page);
         if (++sweepFailures_[page] > maxRevisitPasses_) {
             ++stats_.sweepRevisitExhausted;
-            ctx_.stats()
-                .counter("recovery.sweep_revisit_exhausted")
-                .increment();
             quarantine(page);
         } else {
             ++stats_.sweepSkips;
-            ctx_.stats().counter("recovery.sweep_skips").increment();
             revisit_.push_back(page);
         }
         pumpBackground();
@@ -175,9 +163,6 @@ RecoveryManager::onReadDone(PageNum page, unsigned attempt,
     // the contents.
     if (attempt >= maxReadRetries_) {
         ++stats_.demandRetryExhausted;
-        ctx_.stats()
-            .counter("recovery.demand_retry_exhausted")
-            .increment();
         inFlight_.erase(page);
         quarantine(page);
         if (strategy_ != RestoreStrategy::demandOnly)
@@ -185,7 +170,6 @@ RecoveryManager::onReadDone(PageNum page, unsigned attempt,
         return;
     }
     ++stats_.readRetries;
-    ctx_.stats().counter("recovery.read_retries").increment();
     const Tick resume =
         ctx_.now() + 20_us * (Tick{1} << std::min(attempt - 1, 6u));
     inFlight_[page] = resume;

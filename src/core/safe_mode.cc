@@ -224,15 +224,11 @@ SafeModeGovernor::reevaluate()
 void
 SafeModeGovernor::apply(std::uint64_t pages, SafeMode mode)
 {
-    auto &stats = domain_.ctx().stats();
-    if (mode != SafeMode::normal && mode_ == SafeMode::normal) {
+    if (mode != SafeMode::normal && mode_ == SafeMode::normal)
         ++stats_.safeModeEntries;
-        stats.counter("safemode.entries").increment();
-    }
     if (mode == SafeMode::writeThrough &&
         mode_ != SafeMode::writeThrough) {
         ++stats_.writeThroughEntries;
-        stats.counter("safemode.write_through_entries").increment();
         warn("safe mode: degradation past the write-through floor, "
              "budget pinned at ", pages, " pages");
     }
@@ -240,13 +236,10 @@ SafeModeGovernor::apply(std::uint64_t pages, SafeMode mode)
 
     if (pages == appliedPages_)
         return;
-    if (pages < appliedPages_) {
+    if (pages < appliedPages_)
         ++stats_.budgetShrinks;
-        stats.counter("safemode.budget_shrinks").increment();
-    } else {
+    else
         ++stats_.budgetGrows;
-        stats.counter("safemode.budget_grows").increment();
-    }
     appliedPages_ = pages;
     // Shrinking evicts synchronously down to the new budget, so the
     // dirty set fits the degraded battery window as soon as this

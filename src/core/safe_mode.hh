@@ -71,7 +71,8 @@ class BudgetDomain
     /** The device the emergency flush writes to. */
     virtual storage::Ssd &ssd() = 0;
 
-    /** Simulation context (stats, event queue). */
+    /** Simulation context; the governor uses only its event queue
+     *  (periodic re-evaluation). */
     virtual sim::SimContext &ctx() = 0;
 
     /**

@@ -58,7 +58,7 @@ Mmu::access(PageNum vpn, bool is_write)
         if (!view.writable) {
             // Write-protection violation: deliver the fault.
             ctx_.clock().advance(costs_.trapCost);
-            ctx_.stats().counter("mmu.write_faults").increment();
+            ++writeFaults_;
             VIYOJIT_ASSERT(faultHandler_,
                            "write fault with no handler installed");
             faultHandler_(vpn);
@@ -110,7 +110,6 @@ Mmu::protectPage(PageNum vpn)
     pte->setWritable(false);
     ctx_.clock().advance(costs_.protectCost + costs_.shootdownCost);
     tlb_.flushPage(vpn);
-    ctx_.stats().counter("mmu.protects").increment();
 }
 
 void
@@ -121,7 +120,6 @@ Mmu::unprotectPage(PageNum vpn)
     pte->setWritable(true);
     ctx_.clock().advance(costs_.protectCost + costs_.shootdownCost);
     tlb_.flushPage(vpn);
-    ctx_.stats().counter("mmu.unprotects").increment();
 }
 
 bool
@@ -131,7 +129,7 @@ Mmu::isProtected(PageNum vpn) const
     return pte && pte->present() && !pte->writable();
 }
 
-void
+DirtyScanStats
 Mmu::scanAndClearDirty(PageNum begin, PageNum end, bool flush_tlb,
                        FunctionRef<void(PageNum, bool was_dirty)> visitor,
                        bool legacy_walk)
@@ -142,39 +140,29 @@ Mmu::scanAndClearDirty(PageNum begin, PageNum end, bool flush_tlb,
         ctx_.clock().advance(costs_.fullFlushCost);
         tlb_.flushAll();
     }
-    // `charged` is the work the scan actually performs: every present
-    // page on the legacy walk, only touched tree nodes + dirty leaves
-    // on the hierarchical one.
-    std::uint64_t visited = 0;
-    std::uint64_t charged = 0;
+    // Charge the work the scan actually performs: every present page
+    // on the legacy walk (which counts no nodes), only touched tree
+    // nodes + dirty leaves on the hierarchical one.
+    DirtyScanStats stats;
     if (legacy_walk) {
         table_.forEachPresent(begin, end, [&](PageNum vpn, Pte &pte) {
-            ++visited;
+            ++stats.visitedPages;
             const bool was_dirty = pte.dirty();
             if (was_dirty)
                 table_.clearDirty(vpn);
             visitor(vpn, was_dirty);
         });
-        charged = visited;
     } else {
-        const DirtyScanStats stats = table_.forEachDirty(
+        stats = table_.forEachDirty(
             begin, end, [&](PageNum vpn, Pte &pte) {
                 pte.setDirty(false);
                 visitor(vpn, /*was_dirty=*/true);
             });
-        visited = stats.visitedPages;
-        charged = stats.visitedPages + stats.visitedNodes;
-        ctx_.stats()
-            .counter("mmu.scan_skipped_subtrees")
-            .increment(stats.skippedSubtrees);
     }
     if (costs_.chargeScanToClock)
-        ctx_.clock().advance(costs_.dirtyScanPerPage * charged);
-    ctx_.stats()
-        .counter("mmu.scan_background_ticks")
-        .increment(costs_.dirtyScanPerPage * charged);
-    ctx_.stats().counter("mmu.dirty_scans").increment();
-    ctx_.stats().counter("mmu.dirty_scan_pages").increment(visited);
+        ctx_.clock().advance(costs_.dirtyScanPerPage *
+                             (stats.visitedPages + stats.visitedNodes));
+    return stats;
 }
 
 } // namespace viyojit::mmu

@@ -128,16 +128,22 @@ class Mmu
      * The default path prunes clean subtrees via the page table's
      * any-dirty-below summary bits and visits only dirty pages
      * (`was_dirty == true` on every visit); scan time is charged per
-     * node actually touched, and pruned children are counted in the
-     * `mmu.scan_skipped_subtrees` stat.  `legacy_walk` restores the
+     * node actually touched.  `legacy_walk` restores the
      * pre-optimization full walk over every present page, charging
      * per present page (for A/B studies; see ViyojitConfig
      * `legacyEpochScan`).
+     *
+     * @return the walk's DirtyScanStats: pages visited, nodes
+     *         descended and subtrees pruned.  The legacy walk fills
+     *         only `visitedPages` (every present page in range).
      */
-    void scanAndClearDirty(
+    DirtyScanStats scanAndClearDirty(
         PageNum begin, PageNum end, bool flush_tlb,
         FunctionRef<void(PageNum, bool was_dirty)> visitor,
         bool legacy_walk = false);
+
+    /** Write-protection faults delivered to the handler. */
+    std::uint64_t writeFaults() const { return writeFaults_; }
 
     /** Direct PTE read access for tests and recovery tooling. */
     const Pte *findPte(PageNum vpn) const { return table_.find(vpn); }
@@ -153,6 +159,7 @@ class Mmu
     PageTable table_;
     Tlb tlb_;
     WriteFaultHandler faultHandler_;
+    std::uint64_t writeFaults_ = 0;
 };
 
 } // namespace viyojit::mmu

@@ -1076,24 +1076,38 @@ NvRegion::scrubTick(std::uint64_t max_pages)
         return;
     std::vector<char> buf(pageSize_);
     std::vector<char> raw(pageSize_);
+    // Shards found under dirty pressure this tick.  Each is skipped
+    // whole (one scrubSkippedBusy), like the simulator's scrubPass
+    // yields its pass, instead of taking its lock once per page.
+    std::vector<bool> pressured(shards_.size(), false);
+    std::size_t pressured_count = 0;
     std::uint64_t scanned = 0;
     for (std::uint64_t step = 0;
          step < pageCount_ && scanned < max_pages; ++step) {
         const PageNum page = scrubCursor_;
         scrubCursor_ = (scrubCursor_ + 1) % pageCount_;
+        const unsigned s = shardOf(page);
         // Cheap unlocked pre-filter; re-read authoritatively under
         // the shard lock below.
-        if (meta_->entry(page).flags != MetaSidecar::kCommitted)
+        if (pressured[s] ||
+            meta_->entry(page).flags != MetaSidecar::kCommitted)
             continue;
-        Shard &shard = *shards_[shardOf(page)];
+        Shard &shard = *shards_[s];
         const PageNum local = page - shard.firstPage;
         common::MutexLock guard(shard.lock);
         // Budget-aware: stay out of a shard under dirty pressure,
         // and only check settled pages (clean, no IO in flight) so
         // the commit record is the page's current durable truth.
         if (shard.controller->tracker().count() + 2 >=
-                shard.controller->dirtyBudget() ||
-            shard.controller->tracker().isDirty(local) ||
+            shard.controller->dirtyBudget()) {
+            pressured[s] = true;
+            scrubSkippedBusy_.fetch_add(1,
+                                        std::memory_order_relaxed);
+            if (++pressured_count == shards_.size())
+                return;
+            continue;
+        }
+        if (shard.controller->tracker().isDirty(local) ||
             shard.controller->isInFlight(local)) {
             scrubSkippedBusy_.fetch_add(1,
                                         std::memory_order_relaxed);

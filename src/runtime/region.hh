@@ -428,7 +428,8 @@ class NvRegion
      * settled (clean, no IO in flight) committed pages against the
      * durable image and re-persist any whose durable copy diverged —
      * repairing silent corruption from the still-clean DRAM copy.
-     * Budget-aware: shards under dirty pressure are skipped.  The
+     * Budget-aware: a shard found within two pages of its quota is
+     * skipped for the rest of the pass (one scrubSkippedBusy).  The
      * epoch thread drives this when scrubPagesPerEpoch > 0; tests
      * call it directly.
      */

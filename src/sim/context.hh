@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared simulation context: one clock, one event queue, one stats
- * registry.  Every simulated component (MMU, SSD, battery, Viyojit
- * manager) holds a reference to the same SimContext.
+ * Shared simulation context: one clock and one event queue.  Every
+ * simulated component (MMU, SSD, battery, Viyojit manager) holds a
+ * reference to the same SimContext and keeps its own typed counters
+ * (e.g. ControllerStats, IoFaultStats, RecoveryStats).
  */
 
 #ifndef VIYOJIT_SIM_CONTEXT_HH
 #define VIYOJIT_SIM_CONTEXT_HH
 
-#include "common/stats.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 
@@ -31,16 +31,12 @@ class SimContext
 
     EventQueue &events() { return events_; }
 
-    StatsRegistry &stats() { return stats_; }
-    const StatsRegistry &stats() const { return stats_; }
-
     /** Current virtual time (convenience). */
     Tick now() const { return clock_.now(); }
 
   private:
     VirtualClock clock_;
     EventQueue events_;
-    StatsRegistry stats_;
 };
 
 } // namespace viyojit::sim

@@ -69,7 +69,6 @@ Ssd::submitWrite(StorageKey key, std::uint64_t content_hash,
             // Content already durable: acknowledge without IO (and
             // without a fault draw — nothing is transferred).
             ++dedupHits_;
-            ctx_.stats().counter("ssd.dedup_hits").increment();
             const Tick done = ctx_.now();
             ++outstanding_;
             ctx_.events().schedule(done,
@@ -93,16 +92,6 @@ Ssd::submitWrite(StorageKey key, std::uint64_t content_hash,
         maxPage_[key.regionId] =
             std::max(maxPage_[key.regionId], key.page);
         decision = faultModel_->onWriteSubmit(key.regionId, key.page);
-        if (decision.status != IoStatus::ok)
-            ctx_.stats().counter("ssd.injected_write_errors").increment();
-        if (decision.status == IoStatus::hardError)
-            ctx_.stats().counter("ssd.injected_hard_errors").increment();
-        if (decision.latencyMultiplier > 1.0)
-            ctx_.stats().counter("ssd.tail_latency_spikes").increment();
-        if (decision.extraLatency > 0)
-            ctx_.stats().counter("ssd.bad_page_remaps").increment();
-        if (decision.silentFault != SilentFaultKind::none)
-            ctx_.stats().counter("ssd.injected_silent_faults").increment();
     }
 
     ++outstanding_;
@@ -112,8 +101,6 @@ Ssd::submitWrite(StorageKey key, std::uint64_t content_hash,
     bytesWritten_ += transfer;
     logicalBytesWritten_ += bytes;
     ++pageWrites_;
-    ctx_.stats().counter("ssd.bytes_written").increment(transfer);
-    ctx_.stats().counter("ssd.page_writes").increment();
 
     const IoStatus status = decision.status;
     const SilentFaultKind fault = decision.silentFault;
@@ -147,31 +134,11 @@ Ssd::submitWriteRun(StorageKey first, unsigned count,
         maxPage_[first.regionId] = std::max(
             maxPage_[first.regionId], first.page + count - 1);
         for (unsigned i = 0; i < count; ++i) {
-            const FaultModel::Decision decision =
-                faultModel_->onWriteSubmit(first.regionId,
-                                           first.page + i);
-            decisions[i] = decision;
-            if (decision.status != IoStatus::ok)
-                ctx_.stats()
-                    .counter("ssd.injected_write_errors")
-                    .increment();
-            if (decision.status == IoStatus::hardError)
-                ctx_.stats()
-                    .counter("ssd.injected_hard_errors")
-                    .increment();
-            if (decision.latencyMultiplier > 1.0)
-                ctx_.stats()
-                    .counter("ssd.tail_latency_spikes")
-                    .increment();
-            if (decision.extraLatency > 0)
-                ctx_.stats().counter("ssd.bad_page_remaps").increment();
-            if (decision.silentFault != SilentFaultKind::none)
-                ctx_.stats()
-                    .counter("ssd.injected_silent_faults")
-                    .increment();
-            latency_multiplier =
-                std::max(latency_multiplier, decision.latencyMultiplier);
-            extra_latency += decision.extraLatency;
+            decisions[i] = faultModel_->onWriteSubmit(first.regionId,
+                                                      first.page + i);
+            latency_multiplier = std::max(
+                latency_multiplier, decisions[i].latencyMultiplier);
+            extra_latency += decisions[i].extraLatency;
         }
     }
 
@@ -194,10 +161,6 @@ Ssd::submitWriteRun(StorageKey first, unsigned count,
     bytesWritten_ += transfer;
     logicalBytesWritten_ += bytes_per_page * count;
     pageWrites_ += count;
-    ctx_.stats().counter("ssd.bytes_written").increment(transfer);
-    ctx_.stats().counter("ssd.page_writes").increment(count);
-    ctx_.stats().counter("ssd.run_writes").increment();
-    ctx_.stats().counter("ssd.run_pages").increment(count);
 
     std::vector<std::uint64_t> hashes(content_hashes,
                                       content_hashes + count);
@@ -231,19 +194,13 @@ Ssd::submitRead(StorageKey key, std::uint64_t bytes,
     VIYOJIT_ASSERT(canAccept(), "SSD queue depth exceeded");
 
     FaultModel::Decision decision;
-    if (faultModel_) {
+    if (faultModel_)
         decision = faultModel_->onReadSubmit(key.regionId, key.page);
-        if (decision.status != IoStatus::ok)
-            ctx_.stats().counter("ssd.injected_read_errors").increment();
-        if (decision.latencyMultiplier > 1.0)
-            ctx_.stats().counter("ssd.tail_latency_spikes").increment();
-    }
 
     ++outstanding_;
     const Tick done =
         scheduleIo(bytes, config_.readBandwidth,
                    decision.latencyMultiplier, decision.extraLatency);
-    ctx_.stats().counter("ssd.page_reads").increment();
     const IoStatus status = decision.status;
     ctx_.events().schedule(done, [this, status,
                                   cb = std::move(on_complete)]() {

@@ -17,7 +17,6 @@
 #include "common/distributions.hh"
 #include "common/histogram.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
 
@@ -457,49 +456,6 @@ TEST(LinearHistogramTest, BucketEdges)
     LinearHistogram h(100, 200, 10);
     EXPECT_EQ(h.bucketLo(0), 100u);
     EXPECT_EQ(h.bucketLo(5), 150u);
-}
-
-// ---------------------------------------------------------------------
-// Stats registry
-// ---------------------------------------------------------------------
-
-TEST(StatsTest, CounterBasics)
-{
-    StatsRegistry reg;
-    reg.counter("a.b").increment();
-    reg.counter("a.b").increment(4);
-    EXPECT_EQ(reg.counterValue("a.b"), 5u);
-    EXPECT_EQ(reg.counterValue("missing"), 0u);
-}
-
-TEST(StatsTest, GaugeHighWatermark)
-{
-    StatsRegistry reg;
-    auto &g = reg.gauge("g");
-    g.set(10);
-    g.set(3);
-    g.add(2);
-    EXPECT_EQ(reg.gaugeValue("g"), 5);
-    EXPECT_EQ(g.highWatermark(), 10);
-}
-
-TEST(StatsTest, ResetAll)
-{
-    StatsRegistry reg;
-    reg.counter("c").increment(9);
-    reg.gauge("g").set(9);
-    reg.resetAll();
-    EXPECT_EQ(reg.counterValue("c"), 0u);
-    EXPECT_EQ(reg.gaugeValue("g"), 0);
-}
-
-TEST(StatsTest, DumpContainsNames)
-{
-    StatsRegistry reg;
-    reg.counter("x.y").increment(3);
-    std::ostringstream oss;
-    reg.dump(oss);
-    EXPECT_NE(oss.str().find("x.y 3"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

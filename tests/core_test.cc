@@ -871,7 +871,7 @@ TEST_F(ManagerFixture, BaselineModeHasNoFaults)
     const Addr base = mgr->vmmap(16 * defaultPageSize);
     for (int p = 0; p < 16; ++p)
         mgr->write(base + p * defaultPageSize, 8);
-    EXPECT_EQ(ctx.stats().counterValue("mmu.write_faults"), 0u);
+    EXPECT_EQ(mgr->mmu().writeFaults(), 0u);
     EXPECT_EQ(mgr->dirtyPageCount(), 16u);
 }
 

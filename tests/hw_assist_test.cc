@@ -46,7 +46,7 @@ TEST_F(HwAssistFixture, FirstWritesDoNotTrap)
     const Addr base = mgr->vmmap(32 * defaultPageSize);
     for (int p = 0; p < 8; ++p)
         mgr->write(base + p * defaultPageSize, 16);
-    EXPECT_EQ(ctx.stats().counterValue("mmu.write_faults"), 0u);
+    EXPECT_EQ(mgr->mmu().writeFaults(), 0u);
     EXPECT_EQ(mgr->dirtyPageCount(), 8u);
 }
 
@@ -68,14 +68,12 @@ TEST_F(HwAssistFixture, CleanPagesStayWritable)
     // Fill past the budget so evictions happen.
     for (int p = 0; p < 12; ++p)
         mgr->write(base + p * defaultPageSize, 16);
-    const auto faults_before =
-        ctx.stats().counterValue("mmu.write_faults");
+    const auto faults_before = mgr->mmu().writeFaults();
     // Rewrite an evicted page: under the assist this must NOT trap
     // (the page was unprotected after writeback).
     for (int p = 0; p < 12; ++p)
         mgr->write(base + p * defaultPageSize, 16);
-    EXPECT_EQ(ctx.stats().counterValue("mmu.write_faults"),
-              faults_before);
+    EXPECT_EQ(mgr->mmu().writeFaults(), faults_before);
 }
 
 TEST_F(HwAssistFixture, CheaperThanSoftwareTraps)

@@ -370,7 +370,7 @@ struct MmuFixture : public ::testing::Test
 TEST_F(MmuFixture, ReadDoesNotFault)
 {
     mmu.access(0, false);
-    EXPECT_EQ(ctx.stats().counterValue("mmu.write_faults"), 0u);
+    EXPECT_EQ(mmu.writeFaults(), 0u);
     EXPECT_TRUE(mmu.findPte(0)->accessed());
 }
 
@@ -383,7 +383,7 @@ TEST_F(MmuFixture, WriteToProtectedPageFaults)
     });
     mmu.access(3, true);
     EXPECT_EQ(faulted, 3u);
-    EXPECT_EQ(ctx.stats().counterValue("mmu.write_faults"), 1u);
+    EXPECT_EQ(mmu.writeFaults(), 1u);
     EXPECT_TRUE(mmu.findPte(3)->dirty());
 }
 
@@ -393,7 +393,7 @@ TEST_F(MmuFixture, SecondWriteDoesNotFault)
         [&](PageNum vpn) { mmu.unprotectPage(vpn); });
     mmu.access(3, true);
     mmu.access(3, true);
-    EXPECT_EQ(ctx.stats().counterValue("mmu.write_faults"), 1u);
+    EXPECT_EQ(mmu.writeFaults(), 1u);
 }
 
 TEST_F(MmuFixture, TrapCostCharged)
@@ -506,7 +506,7 @@ TEST_F(MmuFixture, LegacyWalkMatchesHierarchicalScan)
     mmu.access(7, true);
     std::vector<PageNum> legacy;
     std::uint64_t visited = 0;
-    mmu.scanAndClearDirty(
+    const DirtyScanStats stats = mmu.scanAndClearDirty(
         0, 16, true,
         [&](PageNum vpn, bool was) {
             ++visited;
@@ -516,6 +516,7 @@ TEST_F(MmuFixture, LegacyWalkMatchesHierarchicalScan)
         /*legacy_walk=*/true);
     EXPECT_EQ(legacy, hier);
     EXPECT_EQ(visited, 16u);
+    EXPECT_EQ(stats.visitedPages, 16u);
     EXPECT_TRUE(mmu.pageTable().dirtySummariesConsistent());
 }
 
@@ -525,10 +526,9 @@ TEST_F(MmuFixture, HierarchicalScanCountsSkippedSubtrees)
     mmu.setWriteFaultHandler(
         [&](PageNum vpn) { mmu.unprotectPage(vpn); });
     mmu.access(1, true);
-    mmu.scanAndClearDirty(0, (1ULL << 30) + 1, true,
-                          [](PageNum, bool) {});
-    EXPECT_GE(ctx.stats().counterValue("mmu.scan_skipped_subtrees"),
-              1u);
+    const DirtyScanStats stats = mmu.scanAndClearDirty(
+        0, (1ULL << 30) + 1, true, [](PageNum, bool) {});
+    EXPECT_GE(stats.skippedSubtrees, 1u);
 }
 
 TEST_F(MmuFixture, AccessRangeTouchesSpannedPages)

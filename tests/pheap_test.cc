@@ -224,7 +224,7 @@ TEST(SimNvSpaceTest, HeapWritesDirtySimPages)
     heap.store<std::uint64_t>(off, 42);
 
     EXPECT_GT(mgr.dirtyPageCount(), 0u);
-    EXPECT_GT(ctx.stats().counterValue("mmu.write_faults"), 0u);
+    EXPECT_GT(mgr.mmu().writeFaults(), 0u);
 }
 
 TEST(SimNvSpaceTest, HeapContentsSurviveSimPowerFailure)

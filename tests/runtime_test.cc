@@ -676,6 +676,36 @@ TEST_F(RegionFixture, EpochThreadScrubRepairsRottedDurableCopy)
     EXPECT_GT(stats.epochs, 0u);
 }
 
+TEST_F(RegionFixture, ScrubSkipsPressuredShardWhole)
+{
+    // A shard at its dirty budget is skipped once per tick, not
+    // locked and counted once for every committed page it holds.
+    const std::string path = makePath("scrub_pressure");
+    cleanup.push_back(path + ".meta");
+    const std::uint64_t ps = 4096;
+    auto region = NvRegion::create(path, 256 * ps, manualConfig(8));
+    ASSERT_EQ(region->pageCount(), 256u);
+    char *data = static_cast<char *>(region->base());
+    for (std::uint64_t p = 0; p < region->pageCount(); ++p)
+        data[p * ps] = 1;
+    region->flushAll();
+    for (std::uint64_t p = 0; p < 8; ++p)
+        data[p * ps] = 2;
+    ASSERT_EQ(region->stats().dirtyPages, 8u);
+
+    const RegionStats before = region->stats();
+    region->scrubTick(1);
+    const RegionStats pressured = region->stats();
+    EXPECT_LE(pressured.scrubSkippedBusy - before.scrubSkippedBusy,
+              region->shardCount());
+    EXPECT_EQ(pressured.scrubScanned, before.scrubScanned);
+
+    // With the dirty set drained, the next tick scans again.
+    region->flushAll();
+    region->scrubTick(1);
+    EXPECT_GT(region->stats().scrubScanned, pressured.scrubScanned);
+}
+
 // ---------------------------------------------------------------------
 // Compressed copy-out path (RuntimeConfig::compressFlush)
 // ---------------------------------------------------------------------

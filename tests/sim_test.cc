@@ -161,8 +161,6 @@ TEST(SimContextTest, BundlesSingletons)
     EXPECT_EQ(ctx.now(), 0u);
     ctx.clock().advance(5);
     EXPECT_EQ(ctx.now(), 5u);
-    ctx.stats().counter("x").increment();
-    EXPECT_EQ(ctx.stats().counterValue("x"), 1u);
 }
 
 } // namespace

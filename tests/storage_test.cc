@@ -103,7 +103,6 @@ TEST(SsdTest, WearAccounting)
     ctx.events().drain();
     EXPECT_EQ(ssd.bytesWritten(), 8192u);
     EXPECT_EQ(ssd.pageWriteCount(), 2u);
-    EXPECT_EQ(ctx.stats().counterValue("ssd.bytes_written"), 8192u);
 }
 
 TEST(SsdTest, RewriteUpdatesHash)
