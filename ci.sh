@@ -148,14 +148,15 @@ cmake --build build-sanitize -j "${JOBS}"
 ctest --test-dir build-sanitize --output-on-failure -j "${JOBS}"
 
 # Seed-randomized torture pass: every CI run explores a different
-# power-cut/fault trajectory under the sanitizers.  The fixed-seed
-# torture runs above are regression tests; this one is the search.
+# power-cut/fault trajectory under the sanitizers, one-shard and
+# pooled (four shards on one battery).  The fixed-seed torture runs
+# above are regression tests; this one is the search.
 # A failure replays exactly with the printed seed (see EXPERIMENTS.md).
 TORTURE_SEED=${VIYOJIT_TORTURE_SEED:-$(( $(date +%s) ^ $$ ))}
 echo "=== Randomized torture run (VIYOJIT_TORTURE_SEED=${TORTURE_SEED}) ==="
 if ! VIYOJIT_TORTURE_SEED="${TORTURE_SEED}" \
      ./build-sanitize/tests/torture_test \
-     --gtest_filter='TortureTest.SurvivesSeededPowerCutsUnderFaultInjection:TortureTest.SurvivesPowerCutsDuringBatchedFlush:TortureTest.SurvivesPowerCutsDuringCompressedFlush'
+     --gtest_filter='TortureTest.SurvivesSeededPowerCutsUnderFaultInjection:TortureTest.SurvivesPowerCutsDuringBatchedFlush:TortureTest.SurvivesPowerCutsDuringCompressedFlush:TortureTest.MultiShardDurabilityHoldsAtEveryCut'
 then
     echo "torture run FAILED; replay with:" >&2
     echo "  VIYOJIT_TORTURE_SEED=${TORTURE_SEED} ./build-sanitize/tests/torture_test" >&2

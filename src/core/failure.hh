@@ -7,11 +7,15 @@
  * exceed what the battery can deliver.  The injector cuts wall power
  * at an arbitrary virtual time, runs the emergency flush, checks the
  * energy books, and verifies that the SSD image now matches every
- * written page.
+ * written page.  One battery may back several managers (shards
+ * sharing a core::BudgetPool); the injector then cuts them all at
+ * once and books their summed flush against the one battery.
  */
 
 #ifndef VIYOJIT_CORE_FAILURE_HH
 #define VIYOJIT_CORE_FAILURE_HH
+
+#include <vector>
 
 #include "battery/battery.hh"
 #include "core/manager.hh"
@@ -44,7 +48,7 @@ struct FailureReport
     bool contentVerified = false;
 };
 
-/** Injects power failures into a simulated manager. */
+/** Injects power failures into the simulated managers of one battery. */
 class PowerFailureInjector
 {
   public:
@@ -52,22 +56,31 @@ class PowerFailureInjector
                          battery::Battery &battery,
                          battery::PowerModel power);
 
+    /** Cut every manager in `managers` (all on one SSD). */
+    PowerFailureInjector(std::vector<ViyojitManager *> managers,
+                         battery::Battery &battery,
+                         battery::PowerModel power);
+
     /**
-     * Cut wall power now: flush on battery, account energy, verify
-     * content.  The manager's epoch machinery is stopped; call
-     * ViyojitManager::start() to model a recovery/reboot.
+     * Cut wall power now: stop every manager's epoch machinery, flush
+     * them back to back on battery, account the summed energy, verify
+     * content.  Call ViyojitManager::start() on each manager to model
+     * a recovery/reboot.
      */
     FailureReport inject();
 
     /**
      * Energy headroom check without failing: joules needed for the
-     * current dirty set vs. joules available.  Must never be negative
-     * for a correctly budgeted system.
+     * current summed dirty set vs. joules available.  Must never be
+     * negative for a correctly budgeted system.
      */
     double currentHeadroomJoules() const;
 
+    /** Dirty pages summed over the managers. */
+    std::uint64_t dirtyPages() const;
+
   private:
-    ViyojitManager &manager_;
+    std::vector<ViyojitManager *> managers_;
     battery::Battery &battery_;
     battery::PowerModel power_;
 };

@@ -76,15 +76,6 @@ ShardedBudgetDomain::compressionFloorRatio() const
     return floor;
 }
 
-std::uint64_t
-ShardedBudgetDomain::summedDirtyPages() const
-{
-    std::uint64_t sum = 0;
-    for (const ViyojitManager *shard : shards_)
-        sum += shard->dirtyPageCount();
-    return sum;
-}
-
 // ---------------------------------------------------------------------
 // SafeModeGovernor
 // ---------------------------------------------------------------------

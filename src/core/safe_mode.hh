@@ -165,9 +165,6 @@ class ShardedBudgetDomain : public BudgetDomain
      *  backs the sum, so the worst shard's burst bounds them all. */
     double compressionFloorRatio() const override;
 
-    /** Summed dirty pages across the shard set. */
-    std::uint64_t summedDirtyPages() const;
-
   private:
     BudgetPool &pool_;
     std::vector<ViyojitManager *> shards_;

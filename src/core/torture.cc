@@ -1,11 +1,14 @@
 #include "core/torture.hh"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "battery/fault_injector.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/failure.hh"
 #include "core/manager.hh"
@@ -27,20 +30,16 @@ namespace
  * SSD degradation genuinely forces safe-mode shrinks.
  */
 battery::BatteryConfig
-sizeBattery(const TortureConfig &torture, const storage::SsdConfig &ssd,
+sizeBattery(const TortureConfig &torture, const storage::Ssd &ssd,
             const SafeModeConfig &safe, const battery::PowerModel &power,
-            std::uint64_t page_size)
+            std::uint64_t page_size, bool corruption)
 {
-    // Mirror FaultModel::expectedWriteAttempts: silent faults retry
-    // through the read-back verify exactly like status-visible
-    // errors, so they amplify the flush payload the same way.
-    const double intact = (1.0 - torture.silentBitFlipProb) *
-                          (1.0 - torture.droppedWriteProb) *
-                          (1.0 - torture.misdirectedWriteProb);
-    const double attempts =
-        1.0 / ((1.0 - torture.writeErrorProb) * intact);
-    const double flush_rate =
-        ssd.writeBandwidth * safe.bandwidthSafetyFactor / attempts;
+    // Silent faults retry through the read-back verify exactly like
+    // status-visible errors, so the fault model's expected attempt
+    // count amplifies the flush payload for both.
+    const double flush_rate = ssd.config().writeBandwidth *
+                              safe.bandwidthSafetyFactor /
+                              ssd.faultModel()->expectedWriteAttempts();
     const double payload_seconds =
         static_cast<double>(torture.dirtyBudgetPages * page_size) /
         flush_rate;
@@ -52,7 +51,7 @@ sizeBattery(const TortureConfig &torture, const storage::SsdConfig &ssd,
     // therefore carry extra headroom for that serialized retry tail;
     // this is the battery cost of end-to-end verification, paid in
     // provisioning rather than in silently accepted wrong data.
-    const double headroom = intact < 1.0 ? 1.45 : 1.3;
+    const double headroom = corruption ? 1.45 : 1.3;
     const double window_seconds =
         ticksToSeconds(safe.flushOverheadReserve) +
         payload_seconds * headroom;
@@ -86,323 +85,21 @@ fillPayload(Rng &rng, std::vector<char> &payload, std::uint64_t len,
                          : static_cast<char>(0x20);
 }
 
-/**
- * Multi-shard torture: N managers share the SSD, the battery, and
- * one BudgetPool; the governor retunes the pool total through a
- * ShardedBudgetDomain.  On top of the classic per-cut checks, every
- * cut asserts the distributed-budget invariant — the SUMMED dirty
- * count across shards never exceeds the (possibly degraded) pooled
- * budget — and flushes every shard on the shared battery window.
- */
-TortureResult
-runShardedTorture(const TortureConfig &torture)
+/** The IO fault counters the harness reports, summed over shards. */
+IoFaultStats
+summedIoFaultStats(const std::vector<ViyojitManager *> &managers)
 {
-    const std::uint64_t shard_count = torture.shards;
-    Rng rng(torture.seed);
-    TortureResult result;
-    result.shards = shard_count;
-    result.minHeadroomJoules = std::numeric_limits<double>::max();
-
-    if (torture.dirtyBudgetPages < 2 * shard_count)
-        fatal("sharded torture needs a dirty budget of at least two "
-              "pages per shard");
-    if (torture.regionPages < shard_count)
-        fatal("sharded torture needs at least one page per shard");
-
-    sim::SimContext ctx;
-
-    storage::SsdConfig ssd_config;
-    ssd_config.writeBandwidth = 50.0e6;
-    ssd_config.readBandwidth = 100.0e6;
-    ssd_config.perIoLatency = 80_us;
-    ssd_config.enableCompression = torture.compressFlush;
-    storage::Ssd ssd(ctx, ssd_config);
-
-    storage::FaultModelConfig fault_config;
-    fault_config.seed = rng.next();
-    fault_config.writeErrorProb = torture.writeErrorProb;
-    fault_config.readErrorProb = torture.readErrorProb;
-    fault_config.tailLatencyProb = torture.tailLatencyProb;
-    fault_config.silentBitFlipProb = torture.silentBitFlipProb;
-    fault_config.droppedWriteProb = torture.droppedWriteProb;
-    fault_config.misdirectedWriteProb = torture.misdirectedWriteProb;
-    ssd.setFaultModel(
-        std::make_unique<storage::FaultModel>(fault_config));
-    const bool corruption = torture.silentBitFlipProb > 0.0 ||
-                            torture.droppedWriteProb > 0.0 ||
-                            torture.misdirectedWriteProb > 0.0;
-
-    // Per-shard quota split mirrors the runtime: roughly half the
-    // budget starts in the pool as migration headroom.
-    const std::uint64_t budget = torture.dirtyBudgetPages;
-    const std::uint64_t share = std::clamp<std::uint64_t>(
-        budget / (2 * shard_count), 2, budget / shard_count);
-    BudgetPool pool(budget, budget - share * shard_count);
-    const std::uint64_t borrow_batch =
-        std::max<std::uint64_t>(1, share / 4);
-
-    ViyojitConfig config;
-    config.dirtyBudgetPages = share;
-    config.maxIoRetries = 6;
-    config.retryBackoffBase = 10_us;
-    config.retryBackoffCap = 200_us;
-    config.ioTimeout = 10_ms;
-    config.retrySeed = rng.next();
-    config.maxRunPages = torture.maxRunPages;
-    config.extentShift = torture.extentShift;
-    config.maxBridgePages = torture.maxBridgePages;
-
-    SafeModeConfig safe_config;
-    safe_config.flushOverheadReserve = 2_ms;
-    safe_config.minBudgetPages = 2 * shard_count;
-    safe_config.writeThroughFloorPages =
-        std::max<std::uint64_t>(4, 2 * shard_count);
-
-    const battery::PowerModel power;
-    battery::Battery battery(
-        sizeBattery(torture, ssd_config, safe_config, power,
-                    config.pageSize));
-
-    const std::uint64_t shard_pages =
-        torture.regionPages / shard_count;
-    std::vector<std::unique_ptr<ViyojitManager>> managers;
-    std::vector<ViyojitManager *> shard_ptrs;
-    std::vector<Addr> bases;
-    for (std::uint64_t i = 0; i < shard_count; ++i) {
-        managers.push_back(std::make_unique<ViyojitManager>(
-            ctx, ssd, config, mmu::MmuCostModel{}, shard_pages,
-            static_cast<std::uint32_t>(i)));
-        managers.back()->controller().attachBudgetPool(&pool,
-                                                       borrow_batch);
-        bases.push_back(
-            managers.back()->vmmap(shard_pages * config.pageSize));
-        managers.back()->start();
-        shard_ptrs.push_back(managers.back().get());
+    IoFaultStats sum;
+    for (const ViyojitManager *manager : managers) {
+        const IoFaultStats &io = manager->ioFaultStats();
+        sum.retries += io.retries;
+        sum.abortedCopies += io.abortedCopies;
+        sum.runSubmits += io.runSubmits;
+        sum.runPagesCoalesced += io.runPagesCoalesced;
+        sum.runSplits += io.runSplits;
+        sum.verifyFailures += io.verifyFailures;
     }
-
-    ShardedBudgetDomain domain(pool, shard_ptrs);
-    SafeModeGovernor governor(domain, battery, power, safe_config);
-
-    battery::BatteryFaultConfig battery_faults;
-    battery_faults.seed = rng.next();
-    battery_faults.checkInterval = 1_ms;
-    battery_faults.cellFailureProb = 0.15;
-    battery_faults.cellFailureStep = 0.05;
-    battery_faults.maxFailedFraction = 0.4;
-    battery_faults.fadeProb = 0.02;
-    battery_faults.fadeStepYears = 0.25;
-    battery_faults.recoveryProb = 0.2;
-    battery::BatteryFaultInjector battery_injector(ctx, battery,
-                                                   battery_faults);
-    battery_injector.start();
-
-    std::vector<char> payload(config.pageSize);
-    const std::uint64_t shard_bytes = shard_pages * config.pageSize;
-
-    auto fail = [&](std::uint64_t cut, const std::string &detail) {
-        result.passed = false;
-        result.failingCut = cut;
-        result.failureDetail = detail;
-    };
-
-
-    for (std::uint64_t cut = 1;
-         result.passed && cut <= torture.cuts; ++cut) {
-        const std::uint64_t ops =
-            1 + rng.nextBounded(torture.maxOpsPerRound);
-        for (std::uint64_t op = 0; op < ops; ++op) {
-            // Ops scatter across shards so quota migrates: bursting
-            // shards borrow what idle shards returned at their epoch
-            // boundaries.
-            const std::size_t si = rng.nextBounded(shard_count);
-            ViyojitManager &shard = *managers[si];
-            if (rng.nextBool(0.9)) {
-                const std::uint64_t len =
-                    1 + rng.nextBounded(config.pageSize);
-                const Addr addr =
-                    bases[si] + rng.nextBounded(shard_bytes - len);
-                fillPayload(rng, payload, len,
-                            torture.compressFlush);
-                shard.memWrite(addr, payload.data(), len);
-            } else {
-                const std::uint64_t len =
-                    1 + rng.nextBounded(config.pageSize);
-                shard.read(bases[si] +
-                               rng.nextBounded(shard_bytes - len),
-                           len);
-            }
-            if (rng.nextBool(0.25))
-                ctx.events().runSteps(rng.nextBounded(8));
-        }
-
-        if (rng.nextBool(torture.bandwidthDegradeProb)) {
-            const double span = 1.0 - torture.bandwidthDegradeFloor;
-            ssd.faultModel()->setBandwidthDegradation(
-                torture.bandwidthDegradeFloor +
-                span * rng.nextDouble());
-            governor.reevaluate();
-        }
-        if (rng.nextBool(torture.packServiceProb)) {
-            battery.setFailedCellFraction(0.0);
-            battery.setAgeYears(0.0);
-        }
-        if (torture.scrubPagesPerRound > 0) {
-            for (auto &manager : managers) {
-                const ScrubReport scrub = manager->scrubPass(
-                    torture.scrubPagesPerRound);
-                result.scrubScanned += scrub.scanned;
-                result.scrubMismatches += scrub.mismatches;
-                result.scrubRepairs += scrub.repaired;
-                result.scrubRepairFailures += scrub.repairFailures;
-            }
-        }
-
-        ctx.events().runSteps(rng.nextBounded(50));
-
-        if (ssd.outstanding() > 0)
-            ++result.cutsMidFlight;
-        if (ssd.outstandingRuns() > 0)
-            ++result.cutsMidRun;
-        if (governor.mode() != SafeMode::normal)
-            ++result.cutsInSafeMode;
-
-        // The distributed-budget invariant: at the instant of the
-        // cut, the SUM of per-shard dirty counts must fit the pooled
-        // battery budget (as currently retuned by the governor).
-        const std::uint64_t summed_dirty = domain.summedDirtyPages();
-        result.maxSummedDirtyPages =
-            std::max(result.maxSummedDirtyPages, summed_dirty);
-        if (summed_dirty > pool.totalPages()) {
-            std::ostringstream oss;
-            oss << "summed dirty (" << summed_dirty
-                << " pages) exceeds the pooled budget ("
-                << pool.totalPages() << " pages) at cut " << cut;
-            fail(cut, oss.str());
-            break;
-        }
-
-        // Pre-cut energy headroom against the summed dirty set.
-        // With compressed copy-out, credit the WORST per-shard
-        // compression floor — the bound the governor budgets with —
-        // since the serialized flush ships stored bytes, not raw.
-        double floor_ratio = 1.0;
-        if (torture.compressFlush) {
-            double worst = std::numeric_limits<double>::max();
-            for (const auto &manager : managers)
-                worst = std::min(
-                    worst,
-                    manager->controller().tracker().floorRatio());
-            if (worst > 1.0 &&
-                worst < std::numeric_limits<double>::max())
-                floor_ratio = worst;
-        }
-        const double flush_seconds =
-            static_cast<double>(summed_dirty * config.pageSize) /
-            floor_ratio / ssd.effectiveWriteBandwidth();
-        const double headroom = battery.effectiveJoules() -
-                                flush_seconds * power.flushWatts();
-        result.minHeadroomJoules =
-            std::min(result.minHeadroomJoules, headroom);
-        if (headroom < 0.0) {
-            std::ostringstream oss;
-            oss << "negative pre-cut energy headroom (" << headroom
-                << " J) at cut " << cut;
-            fail(cut, oss.str());
-            break;
-        }
-
-        // The cut: power fails for the whole machine at once.  Every
-        // shard's epoch machinery stops first, then the shards flush
-        // back-to-back on the shared (serialized) SSD; the summed
-        // flush must fit the single battery window.
-        const double available = battery.effectiveJoules();
-        const Tick flush_start = ctx.now();
-        std::uint64_t dirty_at_cut = 0;
-        for (auto &manager : managers)
-            manager->stop();
-        for (auto &manager : managers)
-            dirty_at_cut += manager->powerFailureFlush()
-                                .dirtyPagesAtFailure;
-        const Tick flush_duration = ctx.now() - flush_start;
-        const double needed =
-            ticksToSeconds(flush_duration) * power.flushWatts();
-        if (needed > available) {
-            std::ostringstream oss;
-            oss << "summed flush exceeded the battery at cut " << cut
-                << ": needed " << needed << " J, available "
-                << available << " J (" << dirty_at_cut
-                << " dirty pages across " << shard_count
-                << " shards, flush took "
-                << ticksToSeconds(flush_duration) * 1e3 << " ms)";
-            fail(cut, oss.str());
-            break;
-        }
-        // The checked audit runs after EVERY cut: each settled-image
-        // mismatch must be attributable to an injected silent fault,
-        // an aborted copy, or an unsettled page.  Without corruption
-        // the audit must additionally come back pristine — the
-        // pre-sidecar verifyDurability() contract.
-        bool verified = true;
-        std::uint64_t unattributed = 0;
-        for (auto &manager : managers) {
-            const DurabilityAuditReport audit =
-                manager->verifyDurabilityChecked();
-            result.auditMismatches += audit.mismatchedPages;
-            unattributed += audit.unattributedPages;
-            if (!corruption)
-                verified = verified && audit.clean();
-        }
-        result.auditUnattributed += unattributed;
-        if (unattributed > 0) {
-            std::ostringstream oss;
-            oss << unattributed << " unattributed settled-image "
-                << "mismatch(es) after sharded cut " << cut
-                << ": silent wrong-data acceptance";
-            fail(cut, oss.str());
-            break;
-        }
-        if (!verified) {
-            std::ostringstream oss;
-            oss << "SSD image failed verification after sharded cut "
-                << cut << " outstanding=" << ssd.outstanding();
-            fail(cut, oss.str());
-            break;
-        }
-        ++result.cutsRun;
-
-        for (auto &manager : managers)
-            manager->start();
-    }
-
-    battery_injector.stop();
-    governor.stopPeriodic();
-
-    for (auto &manager : managers) {
-        const IoFaultStats io = manager->ioFaultStats();
-        result.totalRetries += io.retries;
-        result.totalAborts += io.abortedCopies;
-        result.runSubmits += io.runSubmits;
-        result.runPagesCoalesced += io.runPagesCoalesced;
-        result.runSplits += io.runSplits;
-        result.verifyFailures += io.verifyFailures;
-        const ControllerStats &cs = manager->controller().stats();
-        result.quotaBorrowedPages += cs.quotaBorrowedPages;
-        result.quotaReturnedPages += cs.quotaReturnedPages;
-    }
-    result.injectedWriteErrors =
-        ssd.faultModel()->injectedWriteErrors();
-    result.injectedSilentFaults =
-        ssd.faultModel()->injectedSilentFaults();
-    result.safeModeEntries = governor.stats().safeModeEntries;
-    result.budgetShrinks = governor.stats().budgetShrinks;
-    result.batteryCellFailures =
-        battery_injector.stats().cellFailureEvents;
-    result.batteryRecoveries =
-        battery_injector.stats().recoveryEvents;
-    result.budgetPoolPages = pool.totalPages();
-    result.ssdBytesWritten = ssd.bytesWritten();
-    result.ssdLogicalBytesWritten = ssd.logicalBytesWritten();
-    return result;
+    return sum;
 }
 
 } // namespace
@@ -410,10 +107,15 @@ runShardedTorture(const TortureConfig &torture)
 TortureResult
 runTorture(const TortureConfig &torture)
 {
-    if (torture.shards > 1)
-        return runShardedTorture(torture);
+    const std::uint64_t shard_count = torture.shards;
+    if (shard_count == 0)
+        fatal("torture needs at least one shard");
+    if (torture.dirtyBudgetPages < 2 * shard_count)
+        fatal("torture needs at least two budget pages per shard");
+
     Rng rng(torture.seed);
     TortureResult result;
+    result.shards = shard_count;
     result.minHeadroomJoules = std::numeric_limits<double>::max();
 
     sim::SimContext ctx;
@@ -442,8 +144,22 @@ runTorture(const TortureConfig &torture)
                             torture.droppedWriteProb > 0.0 ||
                             torture.misdirectedWriteProb > 0.0;
 
+    // One shard owns the whole budget.  Several shards split it the
+    // way the runtime does: each starts with a small quota, and
+    // roughly half the budget waits in one BudgetPool as migration
+    // headroom for bursting shards.
+    const std::uint64_t budget = torture.dirtyBudgetPages;
+    std::uint64_t quota = budget;
+    std::unique_ptr<BudgetPool> pool;
+    if (shard_count > 1) {
+        quota = std::clamp<std::uint64_t>(budget / (2 * shard_count), 2,
+                                          budget / shard_count);
+        pool = std::make_unique<BudgetPool>(budget,
+                                            budget - quota * shard_count);
+    }
+
     ViyojitConfig config;
-    config.dirtyBudgetPages = torture.dirtyBudgetPages;
+    config.dirtyBudgetPages = quota;
     config.maxIoRetries = 6;
     config.retryBackoffBase = 10_us;
     config.retryBackoffCap = 200_us;
@@ -455,22 +171,43 @@ runTorture(const TortureConfig &torture)
     config.extentShift = torture.extentShift;
     config.maxBridgePages = torture.maxBridgePages;
 
+    // Every shard keeps its own two-page straddling guard.
     SafeModeConfig safe_config;
     safe_config.flushOverheadReserve = 2_ms;
-    safe_config.writeThroughFloorPages = 4;
+    safe_config.minBudgetPages = 2 * shard_count;
+    safe_config.writeThroughFloorPages =
+        std::max<std::uint64_t>(4, 2 * shard_count);
 
     const battery::PowerModel power;
-    battery::Battery battery(
-        sizeBattery(torture, ssd_config, safe_config, power,
-                    config.pageSize));
+    battery::Battery battery(sizeBattery(torture, ssd, safe_config,
+                                         power, config.pageSize,
+                                         corruption));
 
-    ViyojitManager manager(ctx, ssd, config, mmu::MmuCostModel{},
-                           torture.regionPages);
-    const Addr base = manager.vmmap(torture.regionPages *
-                                    config.pageSize);
-    manager.start();
+    const std::uint64_t shard_pages = torture.regionPages / shard_count;
+    const std::uint64_t shard_bytes = shard_pages * config.pageSize;
+    std::deque<ViyojitManager> owned;
+    std::vector<ViyojitManager *> managers;
+    std::vector<Addr> bases;
+    for (std::uint64_t i = 0; i < shard_count; ++i) {
+        ViyojitManager &manager = owned.emplace_back(
+            ctx, ssd, config, mmu::MmuCostModel{}, shard_pages,
+            static_cast<std::uint32_t>(i));
+        if (pool)
+            manager.controller().attachBudgetPool(
+                pool.get(), std::max<std::uint64_t>(1, quota / 4));
+        bases.push_back(manager.vmmap(shard_bytes));
+        manager.start();
+        managers.push_back(&manager);
+    }
 
-    SafeModeGovernor governor(manager, battery, power, safe_config);
+    // The battery backs the SUM of the shards' dirty sets, so the
+    // governor retunes the pool total rather than any one shard.
+    std::unique_ptr<BudgetDomain> domain;
+    if (pool)
+        domain = std::make_unique<ShardedBudgetDomain>(*pool, managers);
+    else
+        domain = std::make_unique<ManagerBudgetDomain>(*managers.front());
+    SafeModeGovernor governor(*domain, battery, power, safe_config);
 
     battery::BatteryFaultConfig battery_faults;
     battery_faults.seed = rng.next();
@@ -485,16 +222,14 @@ runTorture(const TortureConfig &torture)
                                                    battery_faults);
     battery_injector.start();
 
-    PowerFailureInjector cutter(manager, battery, power);
+    PowerFailureInjector cutter(managers, battery, power);
 
     std::vector<char> payload(config.pageSize);
-    const std::uint64_t region_bytes =
-        torture.regionPages * config.pageSize;
 
-    auto fail = [&](std::uint64_t cut, const std::string &detail) {
+    auto fail = [&](std::uint64_t cut, const auto &...parts) {
         result.passed = false;
         result.failingCut = cut;
-        result.failureDetail = detail;
+        result.failureDetail = detail::composeMessage(parts...);
     };
 
     // Debug invariant: a settled (clean, idle) written page must match
@@ -503,24 +238,23 @@ runTorture(const TortureConfig &torture)
     // divergence is attributed, and the audit/scrub machinery is what
     // must catch them.
     auto paranoidCheck = [&](std::uint64_t cut, std::uint64_t op) {
-        for (PageNum p = 0; p < manager.mappedPages(); ++p) {
-            if (manager.pageVersion(p) == 0 ||
-                manager.controller().tracker().isDirty(p) ||
-                manager.controller().isInFlight(p))
-                continue;
-            if (ssd.corruptionKind(storage::StorageKey{0, p}) !=
-                storage::SilentFaultKind::none)
-                continue;
-            if (ssd.durableHash(storage::StorageKey{0, p}) ==
-                manager.pageContentHash(p))
-                continue;
-            std::ostringstream oss;
-            oss << "paranoid: settled page " << p << " v"
-                << manager.pageVersion(p)
-                << " does not match the image (cut " << cut << ", op "
-                << op << ")";
-            fail(cut, oss.str());
-            return false;
+        for (std::uint32_t s = 0; s < managers.size(); ++s) {
+            const ViyojitManager &manager = *managers[s];
+            for (PageNum p = 0; p < manager.mappedPages(); ++p) {
+                const storage::StorageKey key{s, p};
+                if (manager.pageVersion(p) == 0 ||
+                    manager.controller().tracker().isDirty(p) ||
+                    manager.controller().isInFlight(p) ||
+                    ssd.corruptionKind(key) !=
+                        storage::SilentFaultKind::none ||
+                    ssd.durableHash(key) == manager.pageContentHash(p))
+                    continue;
+                fail(cut, "paranoid: settled page ", p, " of shard ", s,
+                     " v", manager.pageVersion(p),
+                     " does not match the image (cut ", cut, ", op ", op,
+                     ")");
+                return false;
+            }
         }
         return true;
     };
@@ -532,18 +266,25 @@ runTorture(const TortureConfig &torture)
         const std::uint64_t ops =
             1 + rng.nextBounded(torture.maxOpsPerRound);
         for (std::uint64_t op = 0; op < ops; ++op) {
+            // Ops scatter across shards so quota migrates: bursting
+            // shards borrow what idle shards returned at their epoch
+            // boundaries.  One shard draws nothing, since
+            // nextBounded(1) would still consume a draw.
+            const std::size_t si =
+                shard_count > 1 ? rng.nextBounded(shard_count) : 0;
+            ViyojitManager &manager = *managers[si];
             if (rng.nextBool(0.9)) {
                 const std::uint64_t len =
                     1 + rng.nextBounded(config.pageSize);
                 const Addr addr =
-                    base + rng.nextBounded(region_bytes - len);
-                fillPayload(rng, payload, len,
-                            torture.compressFlush);
+                    bases[si] + rng.nextBounded(shard_bytes - len);
+                fillPayload(rng, payload, len, torture.compressFlush);
                 manager.memWrite(addr, payload.data(), len);
             } else {
                 const std::uint64_t len =
                     1 + rng.nextBounded(config.pageSize);
-                manager.read(base + rng.nextBounded(region_bytes - len),
+                manager.read(bases[si] +
+                                 rng.nextBounded(shard_bytes - len),
                              len);
             }
             if (rng.nextBool(0.25))
@@ -568,12 +309,14 @@ runTorture(const TortureConfig &torture)
             battery.setAgeYears(0.0);
         }
         if (torture.scrubPagesPerRound > 0) {
-            const ScrubReport scrub =
-                manager.scrubPass(torture.scrubPagesPerRound);
-            result.scrubScanned += scrub.scanned;
-            result.scrubMismatches += scrub.mismatches;
-            result.scrubRepairs += scrub.repaired;
-            result.scrubRepairFailures += scrub.repairFailures;
+            for (ViyojitManager *manager : managers) {
+                const ScrubReport scrub =
+                    manager->scrubPass(torture.scrubPagesPerRound);
+                result.scrubScanned += scrub.scanned;
+                result.scrubMismatches += scrub.mismatches;
+                result.scrubRepairs += scrub.repaired;
+                result.scrubRepairFailures += scrub.repairFailures;
+            }
         }
 
         // Land the cut at an arbitrary point in the event stream —
@@ -587,63 +330,73 @@ runTorture(const TortureConfig &torture)
         if (governor.mode() != SafeMode::normal)
             ++result.cutsInSafeMode;
 
+        // The budget invariant: at the instant of the cut, the SUM of
+        // the shards' dirty counts fits the budget the governor has
+        // currently applied.
+        const std::uint64_t dirty = cutter.dirtyPages();
+        const std::uint64_t applied =
+            pool ? pool->totalPages()
+                 : managers.front()->controller().dirtyBudget();
+        result.maxSummedDirtyPages =
+            std::max(result.maxSummedDirtyPages, dirty);
+        if (dirty > applied) {
+            fail(cut, "summed dirty (", dirty,
+                 " pages) exceeds the applied budget (", applied,
+                 " pages) at cut ", cut);
+            break;
+        }
+
         const double headroom = cutter.currentHeadroomJoules();
         result.minHeadroomJoules =
             std::min(result.minHeadroomJoules, headroom);
         if (headroom < 0.0) {
-            std::ostringstream oss;
-            oss << "negative pre-cut energy headroom (" << headroom
-                << " J) at cut " << cut;
-            fail(cut, oss.str());
+            fail(cut, "negative pre-cut energy headroom (", headroom,
+                 " J) at cut ", cut);
             break;
         }
 
-        const IoFaultStats pre_flush = manager.ioFaultStats();
+        const IoFaultStats pre_flush = summedIoFaultStats(managers);
         const FailureReport report = cutter.inject();
         if (!report.survived) {
-            const IoFaultStats post = manager.ioFaultStats();
-            std::ostringstream oss;
-            oss << "flush exceeded the battery at cut " << cut
-                << ": needed " << report.joulesNeeded
-                << " J, available " << report.joulesAvailable
-                << " J (" << report.dirtyPages << " dirty pages, "
-                << "flush took "
-                << ticksToSeconds(report.flushDuration) * 1e3
-                << " ms)"
-                << " [flush deltas: retries "
-                << post.retries - pre_flush.retries << ", verifyFail "
-                << post.verifyFailures - pre_flush.verifyFailures
-                << ", runSubmits "
-                << post.runSubmits - pre_flush.runSubmits
-                << ", runPages "
-                << post.runPagesCoalesced - pre_flush.runPagesCoalesced
-                << ", splits " << post.runSplits - pre_flush.runSplits
-                << ", wear "
-                << ssd.faultModel()->bandwidthFactor() << "]";
-            fail(cut, oss.str());
+            const IoFaultStats post = summedIoFaultStats(managers);
+            fail(cut, "flush exceeded the battery at cut ", cut,
+                 ": needed ", report.joulesNeeded, " J, available ",
+                 report.joulesAvailable, " J (", report.dirtyPages,
+                 " dirty pages across ", shard_count,
+                 " shard(s), flush took ",
+                 ticksToSeconds(report.flushDuration) * 1e3, " ms)",
+                 " [flush deltas: retries ",
+                 post.retries - pre_flush.retries, ", verifyFail ",
+                 post.verifyFailures - pre_flush.verifyFailures,
+                 ", runSubmits ", post.runSubmits - pre_flush.runSubmits,
+                 ", runPages ",
+                 post.runPagesCoalesced - pre_flush.runPagesCoalesced,
+                 ", splits ", post.runSplits - pre_flush.runSplits,
+                 ", wear ", ssd.faultModel()->bandwidthFactor(), "]");
             break;
         }
         if (!corruption && !report.contentVerified) {
-            std::ostringstream oss;
-            oss << "SSD image failed verification after cut " << cut
-                << " reverify=" << manager.verifyDurability()
-                << " outstanding=" << ssd.outstanding()
-                << " dirty=" << manager.dirtyPageCount();
-            for (PageNum p = 0; p < manager.mappedPages(); ++p) {
-                if (manager.pageVersion(p) == 0)
-                    continue;
-                if (ssd.durableHash(storage::StorageKey{0, p}) ==
-                    manager.pageContentHash(p))
-                    continue;
-                oss << "; page " << p << " v" << manager.pageVersion(p)
-                    << (manager.controller().tracker().isDirty(p)
-                            ? " dirty"
-                            : " clean")
-                    << (manager.controller().isInFlight(p)
-                            ? " in-flight"
-                            : "");
+            std::ostringstream pages;
+            for (std::uint32_t s = 0; s < managers.size(); ++s) {
+                const ViyojitManager &manager = *managers[s];
+                for (PageNum p = 0; p < manager.mappedPages(); ++p) {
+                    if (manager.pageVersion(p) == 0 ||
+                        ssd.durableHash(storage::StorageKey{s, p}) ==
+                            manager.pageContentHash(p))
+                        continue;
+                    pages << "; shard " << s << " page " << p << " v"
+                        << manager.pageVersion(p)
+                        << (manager.controller().tracker().isDirty(p)
+                                ? " dirty"
+                                : " clean")
+                        << (manager.controller().isInFlight(p)
+                                ? " in-flight"
+                                : "");
+                }
             }
-            fail(cut, oss.str());
+            fail(cut, "SSD image failed verification after cut ", cut,
+                 " outstanding=", ssd.outstanding(),
+                 " dirty=", cutter.dirtyPages(), pages.str());
             break;
         }
 
@@ -651,38 +404,47 @@ runTorture(const TortureConfig &torture)
         // mismatch must be attributed (injector ledger, aborted
         // copy, or unsettled page).  One unattributed mismatch is
         // silent wrong-data acceptance, corruption mode or not.
-        const DurabilityAuditReport audit =
-            manager.verifyDurabilityChecked();
+        DurabilityAuditReport audit;
+        for (const ViyojitManager *manager : managers) {
+            const DurabilityAuditReport shard =
+                manager->verifyDurabilityChecked();
+            audit.mismatchedPages += shard.mismatchedPages;
+            audit.unattributedPages += shard.unattributedPages;
+            audit.tornPages += shard.tornPages;
+            audit.silentCorruptPages += shard.silentCorruptPages;
+        }
         result.auditMismatches += audit.mismatchedPages;
         result.auditUnattributed += audit.unattributedPages;
         if (audit.unattributedPages > 0) {
-            std::ostringstream oss;
-            oss << audit.unattributedPages
-                << " unattributed settled-image mismatch(es) after "
-                << "cut " << cut
-                << ": silent wrong-data acceptance (mismatched="
-                << audit.mismatchedPages << " torn="
-                << audit.tornPages << " silent="
-                << audit.silentCorruptPages << ")";
-            fail(cut, oss.str());
+            fail(cut, audit.unattributedPages,
+                 " unattributed settled-image mismatch(es) after cut ",
+                 cut, ": silent wrong-data acceptance (mismatched=",
+                 audit.mismatchedPages, " torn=", audit.tornPages,
+                 " silent=", audit.silentCorruptPages, ")");
             break;
         }
         ++result.cutsRun;
 
         // Power restored: resume epochs and keep going.
-        manager.start();
+        for (ViyojitManager *manager : managers)
+            manager->start();
     }
 
     battery_injector.stop();
     governor.stopPeriodic();
 
-    const IoFaultStats &io = manager.ioFaultStats();
+    const IoFaultStats io = summedIoFaultStats(managers);
     result.totalRetries = io.retries;
     result.totalAborts = io.abortedCopies;
     result.runSubmits = io.runSubmits;
     result.runPagesCoalesced = io.runPagesCoalesced;
     result.runSplits = io.runSplits;
     result.verifyFailures = io.verifyFailures;
+    for (const ViyojitManager *manager : managers) {
+        const ControllerStats &cs = manager->controller().stats();
+        result.quotaBorrowedPages += cs.quotaBorrowedPages;
+        result.quotaReturnedPages += cs.quotaReturnedPages;
+    }
     result.injectedWriteErrors =
         ssd.faultModel()->injectedWriteErrors();
     result.injectedSilentFaults =
@@ -693,6 +455,7 @@ runTorture(const TortureConfig &torture)
         battery_injector.stats().cellFailureEvents;
     result.batteryRecoveries =
         battery_injector.stats().recoveryEvents;
+    result.budgetPoolPages = pool ? pool->totalPages() : 0;
     result.ssdBytesWritten = ssd.bytesWritten();
     result.ssdLogicalBytesWritten = ssd.logicalBytesWritten();
     return result;

@@ -2,15 +2,17 @@
  * @file
  * Seeded power-cut torture harness.
  *
- * Replays a random workload against a full Viyojit stack — SSD with
- * an active fault model, battery with runtime degradation events, a
- * safe-mode governor retuning the budget — and cuts wall power at
- * arbitrary points in the event stream: between two IO completions,
- * mid-transfer, in the middle of a retry backoff.  Every cut asserts
- * the section-4.1 durability invariant: the emergency flush fits the
- * (degraded) battery window and the SSD image verifies against every
- * written page.  All randomness derives from one seed, so a failing
- * run replays exactly from the printed seed.
+ * Replays a random workload against a full Viyojit stack — one or
+ * more managers on one SSD with an active fault model, one battery
+ * with runtime degradation events, a safe-mode governor retuning the
+ * budget — and cuts wall power at arbitrary points in the event
+ * stream: between two IO completions, mid-transfer, in the middle of
+ * a retry backoff.  Every cut asserts the section-4.1 durability
+ * invariant: the summed dirty set fits the applied budget, the
+ * emergency flush of every manager fits the (degraded) battery
+ * window, and the SSD image verifies against every written page.
+ * All randomness derives from one seed, so a failing run replays
+ * exactly from the printed seed.
  */
 
 #ifndef VIYOJIT_CORE_TORTURE_HH
@@ -43,12 +45,11 @@ struct TortureConfig
     std::uint64_t dirtyBudgetPages = 48;
 
     /**
-     * Managers sharing the battery budget through one BudgetPool.
-     * 1 replays the classic single-manager harness; above 1 the
-     * region splits evenly, each shard runs its own controller with
-     * a pooled quota, the governor retunes the pool total, and every
-     * cut additionally asserts that the SUMMED dirty count fits the
-     * (possibly degraded) pooled budget.  Needs
+     * Managers sharing one battery.  1 gives the single manager the
+     * whole budget; above 1 the region splits evenly, each shard runs
+     * its own controller with a quota drawn from one BudgetPool, and
+     * the governor retunes the pool total.  Every per-cut check runs
+     * the same for any count, over every shard.  Needs
      * `dirtyBudgetPages >= 2 * shards`.
      */
     std::uint64_t shards = 1;
@@ -105,8 +106,9 @@ struct TortureConfig
     unsigned maxBridgePages = 0;
 
     /**
-     * Check the clean-pages-match-the-image invariant after every
-     * op (debugging aid; quadratic, keep off for big runs).
+     * Check the clean-pages-match-the-image invariant on every shard
+     * after every op (debugging aid; quadratic, keep off for big
+     * runs).
      */
     bool paranoid = false;
 
@@ -198,13 +200,18 @@ struct TortureResult
     /** Smallest pre-cut energy headroom seen (must stay >= 0). */
     double minHeadroomJoules = 0.0;
 
-    // Multi-shard evidence (meaningful when config.shards > 1).
-
     /** Shards the run was configured with. */
     std::uint64_t shards = 1;
 
-    /** Largest summed dirty count observed at any cut. */
+    /**
+     * Largest dirty count, summed over shards, observed at any cut.
+     * Every cut checks it against the budget then applied (the pool
+     * total, or the one controller's budget), which compressed
+     * copy-out can raise above the nominal dirtyBudgetPages.
+     */
     std::uint64_t maxSummedDirtyPages = 0;
+
+    // Budget-pool evidence (meaningful when config.shards > 1).
 
     /** Pool total at the end of the run (post any governor shrink). */
     std::uint64_t budgetPoolPages = 0;

@@ -636,12 +636,16 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     : config_(config)
 {
     pageSize_ = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    // Checks that need no file run before the open, so a rejected
+    // config leaves nothing behind.
     if (config.dirtyBudgetPages == 0)
         fatal("runtime requires a dirty budget of at least one page");
     if (config.compressFlush && config.copierThreads == 0)
         fatal("compressFlush requires copier threads: inline "
               "persists run on the SIGSEGV admission path, which "
               "must never reach the codec");
+    if (!std::has_single_bit(config.shards))
+        fatal("shard count must be a power of two");
 
     const int flags = recover_contents ? O_RDWR : (O_RDWR | O_CREAT |
                                                    O_TRUNC);
@@ -650,6 +654,34 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         fatal("cannot open backing file '", backing_path,
               "': ", std::strerror(errno));
 
+    // No destructor runs for a half-built region, so until this
+    // constructor returns, a throw releases the fd, the mapping and
+    // the fault registration here.  A failed create also removes the
+    // files it made (its O_TRUNC already discarded any old contents).
+    const std::string meta_path = backing_path + ".meta";
+    struct Unwind
+    {
+        NvRegion &region;
+        const std::string &backing;
+        const std::string &meta;
+        bool created;
+        bool armed = true;
+
+        ~Unwind()
+        {
+            if (!armed)
+                return;
+            unregisterRegion(&region);
+            if (region.mem_ != nullptr)
+                ::munmap(region.mem_, region.bytes_);
+            ::close(region.fd_);
+            if (created) {
+                ::unlink(backing.c_str());
+                ::unlink(meta.c_str());
+            }
+        }
+    } unwind{*this, backing_path, meta_path, !recover_contents};
+
     if (recover_contents) {
         struct stat st;
         if (::fstat(fd_, &st) != 0)
@@ -657,6 +689,11 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         bytes_ = static_cast<std::uint64_t>(st.st_size);
         if (bytes_ == 0)
             fatal("backing file is empty; nothing to recover");
+        // A partial last page would map past the last shard.
+        if (bytes_ % pageSize_ != 0)
+            fatal("backing file '", backing_path, "' is ", bytes_,
+                  " bytes, not a multiple of the ", pageSize_,
+                  "-byte page size");
     } else {
         bytes_ = (bytes + pageSize_ - 1) / pageSize_ * pageSize_;
         if (::ftruncate(fd_, static_cast<off_t>(bytes_)) != 0)
@@ -670,7 +707,6 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         fatal("mmap failed: ", std::strerror(errno));
     mem_ = static_cast<char *>(mem);
 
-    const std::string meta_path = backing_path + ".meta";
     if (!recover_contents) {
         meta_ = MetaSidecar::create(meta_path, pageCount_, pageSize_);
     } else {
@@ -704,8 +740,6 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     // be short.
     const std::uint64_t budget = config.dirtyBudgetPages;
     const std::uint64_t desired = config.shards;
-    if (!std::has_single_bit(desired))
-        fatal("shard count must be a power of two");
     std::uint64_t pps = 1;
     while (pps * desired < pageCount_)
         pps *= 2;
@@ -781,6 +815,7 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     registerRegion(this, mem_, bytes_);
     if (config.startEpochThread)
         startEpochThread();
+    unwind.armed = false;
 }
 
 std::unique_ptr<NvRegion>

@@ -10,6 +10,15 @@
  * under a CRC32C commit record in the `<backing>.meta` sidecar that
  * recovery verifies the reloaded image against (DESIGN.md §10).
  *
+ * When a persist is durable.  A page turns clean once its pwrite
+ * returns, but only an fdatasync makes it durable, and the region
+ * calls it only after a multi-page run (inline, or at the end of a
+ * copier batch that carried one), in flushAll() and at teardown.
+ * Single-page persists never sync, so with maxRunPages = 1 a clean
+ * page may exist only in the kernel page cache, under a PENDING
+ * record: the cut's fdatasync must write back whatever the kernel
+ * has not, on top of the dirty set the budget bounds.
+ *
  * Substitution note: the paper reads and clears hardware PTE dirty
  * bits through a kernel module.  Userspace cannot do that portably,
  * so the epoch scan re-write-protects dirty pages instead — a page

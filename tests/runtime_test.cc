@@ -15,6 +15,7 @@
 #include <cerrno>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -259,6 +260,65 @@ TEST_F(RegionFixture, ZeroBudgetRejected)
     cfg.dirtyBudgetPages = 0;
     EXPECT_THROW(NvRegion::create(makePath("zb"), 64_KiB, cfg),
                  FatalError);
+}
+
+TEST_F(RegionFixture, RecoverRejectsPartialLastPage)
+{
+    // A file that ends mid-page (written on a host with a smaller
+    // page, or appended to) would map a last page no shard owns.
+    const std::string path = makePath("partial");
+    cleanup.push_back(path + ".meta");
+    const auto ps = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    {
+        std::ofstream image(path, std::ios::binary);
+        const std::vector<char> bytes(4 * ps + 4, 'v');
+        image.write(bytes.data(),
+                    static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_THROW(NvRegion::recover(path, manualConfig(4)), FatalError);
+}
+
+std::size_t
+openFdCount()
+{
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++count;
+    return count;
+}
+
+TEST_F(RegionFixture, FailedCreateOrRecoverReleasesFdAndFiles)
+{
+    const std::size_t fds = openFdCount();
+
+    // Rejected before any file exists.
+    const std::string odd = makePath("odd_shards");
+    cleanup.push_back(odd + ".meta");
+    RuntimeConfig odd_cfg = manualConfig(8);
+    odd_cfg.shards = 3;
+    EXPECT_THROW(NvRegion::create(odd, 64_KiB, odd_cfg), FatalError);
+    EXPECT_EQ(openFdCount(), fds);
+    EXPECT_FALSE(std::filesystem::exists(odd));
+    EXPECT_FALSE(std::filesystem::exists(odd + ".meta"));
+
+    // Rejected after the open, the mapping and the sidecar: 16 pages
+    // in 4 shards cannot split a 2-page budget.
+    const std::string thin = makePath("thin_budget");
+    cleanup.push_back(thin + ".meta");
+    RuntimeConfig thin_cfg = manualConfig(2);
+    thin_cfg.shards = 4;
+    EXPECT_THROW(NvRegion::create(thin, 64_KiB, thin_cfg), FatalError);
+    EXPECT_EQ(openFdCount(), fds);
+    EXPECT_FALSE(std::filesystem::exists(thin));
+    EXPECT_FALSE(std::filesystem::exists(thin + ".meta"));
+
+    // Rejected after the open; the file is the caller's, so it stays.
+    const std::string empty = makePath("empty");
+    std::ofstream(empty).close();
+    EXPECT_THROW(NvRegion::recover(empty, manualConfig(8)), FatalError);
+    EXPECT_EQ(openFdCount(), fds);
+    EXPECT_TRUE(std::filesystem::exists(empty));
 }
 
 TEST_F(RegionFixture, CoalescedFlushMakesFileMatchMemory)

@@ -145,13 +145,19 @@ TEST(TortureTest, BatchedFlushSameSeedReplaysIdentically)
 
 TEST(TortureTest, ParanoidShortRunHoldsInvariantAfterEveryOp)
 {
-    TortureConfig config;
-    config.seed = tortureSeed() ^ 0x5eed;
-    config.cuts = 40;
-    config.paranoid = true;
-    const TortureResult result = runTorture(config);
-    EXPECT_TRUE(result.passed)
-        << result.failureDetail << "\n  seed: " << config.seed;
+    // The check walks every shard's pages, so a pooled run is held to
+    // the same per-op invariant as a single manager.
+    for (std::uint64_t shards : {1ULL, 4ULL}) {
+        TortureConfig config;
+        config.seed = tortureSeed() ^ 0x5eed;
+        config.cuts = 40;
+        config.shards = shards;
+        config.paranoid = true;
+        const TortureResult result = runTorture(config);
+        EXPECT_TRUE(result.passed)
+            << result.failureDetail << "\n  seed: " << config.seed
+            << ", shards: " << shards;
+    }
 }
 
 TEST(TortureTest, MultiShardDurabilityHoldsAtEveryCut)
