@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the mechanism's hot paths:
  * dirty-tracker updates, recency maintenance, victim selection, the
- * page-table walk, TLB lookups, and the full simulated fault path.
+ * page-table walk, TLB lookups, the full simulated fault path, and
+ * the per-page CRC32C every persist and recovery check pays.
  * These bound the *host* cost of the bookkeeping the paper's shared
  * library does in its fault handler and epoch thread.
  */
@@ -10,7 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "common/checksum.hh"
 #include "common/distributions.hh"
 #include "common/rng.hh"
 #include "core/controller.hh"
@@ -172,6 +175,28 @@ BM_EpochScan(benchmark::State &state)
 }
 BENCHMARK(BM_EpochScan)
     ->ArgsProduct({{1 << 10, 1 << 14, 1 << 18}, {0, 1}});
+
+void
+BM_Crc32cPage(benchmark::State &state)
+{
+    // One 4 KiB page: the unit every persist, recovery verify and
+    // scrub checksums.
+    const bool portable = state.range(0) != 0;
+    std::vector<unsigned char> page(4096);
+    Rng rng(7);
+    for (unsigned char &b : page)
+        b = static_cast<unsigned char>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            portable ? common::crc32cPortable(page.data(), page.size())
+                     : common::crc32c(page.data(), page.size()));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(page.size()));
+    state.SetLabel(portable ? "crc32cPortable: slice-by-4 tables"
+                            : "crc32c: crc32 instruction if SSE4.2");
+}
+BENCHMARK(BM_Crc32cPage)->Arg(1)->Arg(0);
 
 } // namespace
 

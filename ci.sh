@@ -11,6 +11,10 @@
 #                    build (clang legs skipped cleanly when clang is
 #                    not installed)
 #   build-release/   Release            the configuration the benches use
+#   .bench_build/    perfbench          repository-benchmark smoke: one
+#                                       short traced power-cut/restart
+#                                       run on the real NvRegion and one
+#                                       on the simulator
 #   build-sanitize/  RelWithDebInfo     ASan + UBSan + -Werror
 #   build-tsan/      RelWithDebInfo     TSan (VIYOJIT_SANITIZE=thread)
 #
@@ -107,6 +111,28 @@ echo "=== Release build ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
 ctest --test-dir build-release --output-on-failure -j "${JOBS}"
+
+# Repository benchmark smoke (perfbench/, BENCHMARK.json): builds the
+# perfbench package into .bench_build/ (its own CMake project over
+# src/) and runs one short traced run of a real-NvRegion workload and
+# of the simulator workload.  Each run cuts power, restarts and
+# verifies every acknowledged write, and the traced KV run also
+# restarts from a pre-flush copy that must lose writes (the negative
+# self-check).  A smoke, not a measurement: only "correct" is gated.
+echo "=== Repository benchmark smoke (perfbench restart-and-verify) ==="
+for run in "kv_update_1c 2" "sim_update 3"; do
+    read -r workload seconds <<<"${run}"
+    if ! last=$(python3 perfbench/run.py --workload "${workload}" \
+                    --seed 1 --seconds "${seconds}" --trace 1 \
+                | tail -n 1) \
+       || ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+                "${last}"; then
+        echo "perfbench ${workload} smoke FAILED; last line: ${last:-}" >&2
+        exit 1
+    fi
+    echo "perfbench ${workload}: correct"
+done
 
 # Concurrency gates (bench/abl_concurrency.cc):
 #  1. Sharding overhead: one thread over a sharded region must run

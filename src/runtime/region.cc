@@ -1014,30 +1014,77 @@ NvRegion::epochTick()
     flushEpoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
+namespace
+{
+
+/** A page-aligned byte range [begin, end) of the backing file. */
+struct Extent
+{
+    std::uint64_t begin;
+    std::uint64_t end;
+};
+
+/**
+ * The first data extent of `fd` at or after the page-aligned `from`,
+ * rounded out to whole pages and clipped to `size`; {size, size} when
+ * only holes remain.  A filesystem that reports no holes, or an lseek
+ * error other than ENXIO, makes everything from `from` on one extent,
+ * so the caller reads the rest of the file whole.
+ */
+Extent
+nextDataExtent(int fd, std::uint64_t from, std::uint64_t size,
+               std::uint64_t page_size)
+{
+    const off_t data = ::lseek(fd, static_cast<off_t>(from), SEEK_DATA);
+    if (data < 0)
+        return errno == ENXIO ? Extent{size, size} : Extent{from, size};
+    const std::uint64_t begin =
+        static_cast<std::uint64_t>(data) / page_size * page_size;
+    const off_t hole = ::lseek(fd, data, SEEK_HOLE);
+    if (hole < 0)
+        return {begin, size};
+    // A hole punched between the two calls could make SEEK_HOLE
+    // answer `data` itself; the +1 keeps the walk moving.
+    const auto stop =
+        static_cast<std::uint64_t>(std::max<off_t>(hole, data + 1));
+    return {begin, std::min(size, (stop + page_size - 1) / page_size *
+                                      page_size)};
+}
+
+} // namespace
+
 void
 NvRegion::loadImage()
 {
     constexpr std::uint64_t kChunk = 1ULL << 20;
-    for (std::uint64_t off = 0; off < bytes_; off += kChunk) {
-        const std::uint64_t n = std::min(kChunk, bytes_ - off);
-        if (preadFullyWithRetry(fd_, mem_ + off, n, off) == 0)
-            continue;
-        // Bulk read failed even with bounded retries: isolate the
-        // damage page-by-page instead of killing recovery.  Pages
-        // that stay unreadable are zero-filled and quarantined; the
-        // rest of the image still loads.
-        for (std::uint64_t po = off; po < off + n;
-             po += pageSize_) {
-            const int error =
-                preadFullyWithRetry(fd_, mem_ + po, pageSize_, po);
-            if (error == 0)
+    // Holes read as zeros and the anonymous mapping already is zero,
+    // so skipping them loads the same bytes without populating memory
+    // that was never written.
+    Extent extent{0, 0};
+    while (extent.end < bytes_) {
+        extent = nextDataExtent(fd_, extent.end, bytes_, pageSize_);
+        for (std::uint64_t off = extent.begin; off < extent.end;
+             off += kChunk) {
+            const std::uint64_t n = std::min(kChunk, extent.end - off);
+            if (preadFullyWithRetry(fd_, mem_ + off, n, off) == 0)
                 continue;
-            const PageNum page = po / pageSize_;
-            std::memset(mem_ + po, 0, pageSize_);
-            recoveryReport_.quarantined.push_back(page);
-            warn("recovery: page ", page, " unreadable (",
-                 std::strerror(error),
-                 "); zero-filled and quarantined");
+            // Bulk read failed even with bounded retries: isolate the
+            // damage page-by-page instead of killing recovery.  Pages
+            // that stay unreadable are zero-filled and quarantined;
+            // the rest of the image still loads.
+            for (std::uint64_t po = off; po < off + n;
+                 po += pageSize_) {
+                const int error =
+                    preadFullyWithRetry(fd_, mem_ + po, pageSize_, po);
+                if (error == 0)
+                    continue;
+                const PageNum page = po / pageSize_;
+                std::memset(mem_ + po, 0, pageSize_);
+                recoveryReport_.quarantined.push_back(page);
+                warn("recovery: page ", page, " unreadable (",
+                     std::strerror(error),
+                     "); zero-filled and quarantined");
+            }
         }
     }
 }

@@ -455,9 +455,12 @@ class NvRegion
     void stopEpochThread();
 
     /**
-     * Reload the image from the backing file: chunked bulk reads
-     * with bounded retry, falling back page-by-page on failure and
-     * quarantining (zero-filling) pages that stay unreadable.
+     * Reload the image from the backing file's data extents only
+     * (SEEK_DATA/SEEK_HOLE, rounded out to pages): holes stay as the
+     * mapping's untouched zero pages.  Each extent is read in chunked
+     * bulk reads with bounded retry, falling back page-by-page on
+     * failure and quarantining (zero-filling) pages that stay
+     * unreadable.
      */
     void loadImage();
 

@@ -538,6 +538,16 @@ TEST(Crc32cTest, KnownAnswerVectors)
     std::array<unsigned char, 32> ones;
     ones.fill(0xFF);
     EXPECT_EQ(common::crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+    // Whole 4 KiB pages, the unit sidecar entries and the simulator's
+    // page hashes store: a change here is an on-disk format change.
+    std::vector<unsigned char> page(4096);
+    for (std::size_t i = 0; i < page.size(); ++i)
+        page[i] = static_cast<unsigned char>(i * 131 + 7);
+    EXPECT_EQ(common::crc32c(page.data(), page.size()), 0xE6ADC5B2u);
+    EXPECT_EQ(common::crc32cPortable(page.data(), page.size()),
+              0xE6ADC5B2u);
+    page.assign(page.size(), 0);
+    EXPECT_EQ(common::crc32c(page.data(), page.size()), 0x98F94189u);
 }
 
 TEST(Crc32cTest, SeedChainsIncrementalComputation)
@@ -584,6 +594,37 @@ TEST(Crc32cTest, U64MatchesLittleEndianBytes)
     EXPECT_EQ(common::crc32cU64(value, 0xDEADBEEFu),
               common::crc32c(bytes.data(), bytes.size(),
                              0xDEADBEEFu));
+}
+
+TEST(Crc32cTest, AcceleratedMatchesPortable)
+{
+    // crc32c() may run the CPU's crc32 instruction; it must agree
+    // with the table loop bit for bit, or images written on one host
+    // would fail verification on another.
+    constexpr std::size_t kMaxLen = 3 * 4096 + 17;
+    constexpr std::size_t kMaxOffset = 15;
+    Rng rng(18);
+    std::vector<unsigned char> buf(kMaxLen + kMaxOffset);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    const std::uint32_t seeds[] = {
+        0u, 0xFFFFFFFFu, static_cast<std::uint32_t>(rng.next())};
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        // The offset steps with len / 8, independently of the
+        // len % 8 tail, so every start offset meets every tail.
+        const unsigned char *p = buf.data() + (len / 8) % (kMaxOffset + 1);
+        for (const std::uint32_t seed : seeds) {
+            const std::uint32_t want =
+                common::crc32cPortable(p, len, seed);
+            ASSERT_EQ(common::crc32c(p, len, seed), want)
+                << "len " << len << " seed " << seed;
+            const std::size_t split = len / 3;
+            ASSERT_EQ(common::crc32c(p + split, len - split,
+                                     common::crc32c(p, split, seed)),
+                      want)
+                << "chained at " << split << " of " << len;
+        }
+    }
 }
 
 } // namespace

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 
@@ -589,6 +591,111 @@ TEST_F(RegionFixture, CorruptBackingPageIsQuarantinedNotTrusted)
     ASSERT_EQ(report.quarantined.size(), 1u);
     EXPECT_EQ(report.quarantined[0], 3u);
     EXPECT_EQ(report.verifiedPages, region->pageCount() - 1);
+}
+
+/** Pages of a region's mapping that mincore reports resident. */
+std::uint64_t
+residentPages(const NvRegion &region)
+{
+    std::vector<unsigned char> vec(region.pageCount());
+    EXPECT_EQ(::mincore(const_cast<void *>(region.base()), region.size(),
+                        vec.data()),
+              0);
+    return static_cast<std::uint64_t>(
+        std::count_if(vec.begin(), vec.end(),
+                      [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+/** True when anonymous memory gets transparent huge pages unasked:
+ *  then touching one page makes its whole 2 MiB block resident. */
+bool
+hugePagesAlways()
+{
+    std::ifstream file("/sys/kernel/mm/transparent_hugepage/enabled");
+    std::string mode;
+    std::getline(file, mode);
+    return mode.find("[always]") != std::string::npos;
+}
+
+TEST_F(RegionFixture, RecoveryLoadsOnlyWrittenExtents)
+{
+    const std::string path = makePath("sparse");
+    cleanup.push_back(path + ".meta");
+    const std::uint64_t ps = 4096;
+    const std::uint64_t pages = 1024;
+    const std::array<PageNum, 8> written = {0,   3,   130, 257,
+                                            511, 512, 900, 1023};
+    const PageNum punched = 257;
+    auto fill = [](PageNum p) { return static_cast<char>('a' + p % 26); };
+    {
+        auto region =
+            NvRegion::create(path, pages * ps, manualConfig(16));
+        char *data = static_cast<char *>(region->base());
+        for (const PageNum p : written)
+            std::memset(data + p * ps, fill(p), ps);
+        region->flushAll();
+    }
+    {
+        const int fd = ::open(path.c_str(), O_RDONLY);
+        ASSERT_GE(fd, 0);
+        const off_t hole = ::lseek(fd, 0, SEEK_HOLE);
+        ::close(fd);
+        if (hole < 0 || static_cast<std::uint64_t>(hole) >= pages * ps)
+            GTEST_SKIP() << "the filesystem under /tmp reports no holes";
+    }
+    // Every page reads as written, or as zeros if it never was or is
+    // `lost` (pass `pages` for none).
+    auto expectContent = [&](const NvRegion &region, PageNum lost) {
+        const char *data = static_cast<const char *>(region.base());
+        std::vector<char> want(ps);
+        for (PageNum p = 0; p < pages; ++p) {
+            const bool kept =
+                p != lost && std::find(written.begin(), written.end(),
+                                       p) != written.end();
+            std::memset(want.data(), kept ? fill(p) : 0, ps);
+            EXPECT_EQ(std::memcmp(data + p * ps, want.data(), ps), 0)
+                << "page " << p;
+        }
+    };
+
+    {
+        auto region = NvRegion::recover(path, manualConfig(16));
+        // Only the written extents were read into memory: the holes
+        // are still untouched anonymous pages.
+        if (!hugePagesAlways()) {
+            EXPECT_LE(residentPages(*region), written.size());
+        }
+        const RuntimeRecoveryReport &report = region->recoveryReport();
+        EXPECT_EQ(report.verifiedPages, written.size());
+        EXPECT_EQ(report.unverifiedPages, pages - written.size());
+        EXPECT_EQ(report.checksumMismatches, 0u);
+        EXPECT_TRUE(report.quarantined.empty());
+        expectContent(*region, pages);
+    }
+
+    // Punch a hole under a committed page: recovery skips it while
+    // loading, but verification still checks the page's record.
+    {
+        const int fd = ::open(path.c_str(), O_RDWR);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(::fallocate(fd, FALLOC_FL_PUNCH_HOLE |
+                                      FALLOC_FL_KEEP_SIZE,
+                              static_cast<off_t>(punched * ps),
+                              static_cast<off_t>(ps)),
+                  0)
+            << std::strerror(errno);
+        ::close(fd);
+    }
+    auto region = NvRegion::recover(path, manualConfig(16));
+    const RuntimeRecoveryReport &report = region->recoveryReport();
+    EXPECT_EQ(report.checksumMismatches, 1u);
+    EXPECT_EQ(report.tornRunPages + report.staleEpochPages +
+                  report.silentCorruptPages,
+              1u);
+    ASSERT_EQ(report.quarantined.size(), 1u);
+    EXPECT_EQ(report.quarantined[0], punched);
+    EXPECT_EQ(report.verifiedPages, written.size() - 1);
+    expectContent(*region, punched);
 }
 
 TEST_F(RegionFixture, TornSidecarEntryLoadsPageUnverified)
