@@ -13,8 +13,10 @@
 #   build-release/   Release            the configuration the benches use
 #   .bench_build/    perfbench          repository-benchmark smoke: one
 #                                       short traced power-cut/restart
-#                                       run on the real NvRegion and one
-#                                       on the simulator
+#                                       run per real-NvRegion workload
+#                                       (one client; two clients on two
+#                                       shards with a copier) and one on
+#                                       the simulator
 #   build-sanitize/  RelWithDebInfo     ASan + UBSan + -Werror
 #   build-tsan/      RelWithDebInfo     TSan (VIYOJIT_SANITIZE=thread)
 #
@@ -114,13 +116,15 @@ ctest --test-dir build-release --output-on-failure -j "${JOBS}"
 
 # Repository benchmark smoke (perfbench/, BENCHMARK.json): builds the
 # perfbench package into .bench_build/ (its own CMake project over
-# src/) and runs one short traced run of a real-NvRegion workload and
-# of the simulator workload.  Each run cuts power, restarts and
-# verifies every acknowledged write, and the traced KV run also
-# restarts from a pre-flush copy that must lose writes (the negative
-# self-check).  A smoke, not a measurement: only "correct" is gated.
+# src/) and runs one short traced run of each real-NvRegion workload
+# and of the simulator workload.  kv_read_2c is the only one with
+# shards, a budget pool and a copier racing the background commit
+# barrier.  Each run cuts power, restarts and verifies every
+# acknowledged write, and the traced KV runs also restart from a
+# pre-flush copy that must lose writes (the negative self-check).  A
+# smoke, not a measurement: only "correct" is gated.
 echo "=== Repository benchmark smoke (perfbench restart-and-verify) ==="
-for run in "kv_update_1c 2" "sim_update 3"; do
+for run in "kv_update_1c 2" "kv_read_2c 2" "sim_update 3"; do
     read -r workload seconds <<<"${run}"
     if ! last=$(python3 perfbench/run.py --workload "${workload}" \
                     --seed 1 --seconds "${seconds}" --trace 1 \

@@ -1,9 +1,11 @@
 #include "runtime/meta_sidecar.hh"
 
 #include <fcntl.h>
+#include <sched.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <vector>
@@ -192,46 +194,69 @@ MetaSidecar::recordPage(PageNum page, std::uint32_t crc,
                         std::uint32_t stored_len)
 {
     Shadow &s = shadow_[page];
+    // Seqlock write: a promoter reading between the two runId stores
+    // sees the run move and leaves the record alone.
+    s.runId.store(0, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     s.crc.store(crc, std::memory_order_relaxed);
     s.epoch.store(epoch, std::memory_order_relaxed);
-    s.runId.store(run_id, std::memory_order_relaxed);
     s.storedLen.store(stored_len, std::memory_order_relaxed);
     s.flags.store(kPending, std::memory_order_relaxed);
+    s.runId.store(run_id, std::memory_order_release);
     if (writeEntry(page, crc, kPending, epoch, run_id, stored_len) !=
         0)
         entryWriteErrors_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
-MetaSidecar::markWritten(PageNum page)
+MetaSidecar::markWritten(PageNum page, std::uint64_t run_id)
 {
-    // Release pairs with commitPending's acquire exchange: a
-    // snapshotted bit implies the shadow values and the data pwrite
-    // that preceded this call are visible to the promoter.
-    pending_[page / 64].fetch_or(1ULL << (page % 64),
-                                 std::memory_order_release);
+    // Release pairs with the promoter's acquires: a snapshotted bit
+    // or run implies the data pwrite that preceded this call is
+    // visible to the barrier's fdatasync.
+    shadow_[page].writtenRun.store(run_id, std::memory_order_release);
+    // Count before setting the bit: a promoter that takes the bit
+    // subtracts after this add, so the count never dips below the
+    // set it describes.
+    unsynced_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t bit = 1ULL << (page % 64);
+    if (pending_[page / 64].fetch_or(bit, std::memory_order_release) &
+        bit)
+        unsynced_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 int
-MetaSidecar::commitPending(int data_fd)
+MetaSidecar::commitPending(int data_fd, IfPromoting if_promoting)
 {
-    if (promoting_.exchange(true, std::memory_order_acquire)) {
-        // Another barrier is promoting.  Our own contract — the data
-        // is durable when we return — still holds; our pages simply
-        // stay PENDING until the next barrier, which is safe because
-        // only COMMITTED claims durability.
-        return fdatasyncWithRetry(data_fd);
+    while (promoting_.exchange(true, std::memory_order_acquire)) {
+        if (if_promoting == IfPromoting::syncOnly) {
+            // Another barrier is promoting.  Our own contract — the
+            // data is durable when we return — still holds; our pages
+            // simply stay PENDING until the next barrier, which is
+            // safe because only COMMITTED claims durability.
+            return fdatasyncWithRetry(data_fd);
+        }
+        while (promoting_.load(std::memory_order_relaxed))
+            ::sched_yield();
     }
 
-    // Snapshot BEFORE the data sync: every snapshotted bit's data
-    // write completed before its markWritten(), so the fdatasync
-    // below covers it — a promoted entry can never outrun its data.
-    bool any = false;
+    // Snapshot BEFORE the data sync, with the run each page's
+    // markWritten() reported: that run's data write returned before
+    // its markWritten, so the fdatasync below covers it.
+    std::uint64_t snapped = 0;
     for (std::uint64_t w = 0; w < words_; ++w) {
-        snapshot_[w] = pending_[w].exchange(
-            0, std::memory_order_acq_rel);
-        any |= snapshot_[w] != 0;
+        std::uint64_t word =
+            pending_[w].exchange(0, std::memory_order_acq_rel);
+        snapshot_[w] = word;
+        snapped += static_cast<std::uint64_t>(std::popcount(word));
+        while (word) {
+            Shadow &s = shadow_[w * 64 + static_cast<unsigned>(
+                                             std::countr_zero(word))];
+            word &= word - 1;
+            s.promoteRun = s.writtenRun.load(std::memory_order_acquire);
+        }
     }
+    unsynced_.fetch_sub(snapped, std::memory_order_relaxed);
 
     int error = fdatasyncWithRetry(data_fd);
     if (error != 0) {
@@ -239,51 +264,67 @@ MetaSidecar::commitPending(int data_fd)
         // barrier and report.
         for (std::uint64_t w = 0; w < words_; ++w)
             if (snapshot_[w])
-                pending_[w].fetch_or(snapshot_[w],
-                                     std::memory_order_relaxed);
+                handBack(w, snapshot_[w]);
         promoting_.store(false, std::memory_order_release);
         return error;
     }
-    if (!any) {
+    if (snapped == 0) {
         promoting_.store(false, std::memory_order_release);
         return 0;
     }
 
-    // Promote: rewrite the snapshotted entries as COMMITTED.  The
-    // shadow may already describe a NEWER flush of the same page
-    // (re-dirtied after our snapshot); skipping when the CRC moved
-    // keeps the committed record tied to the values our fdatasync
-    // actually covered — the newer flush re-promotes at its own
-    // barrier (its markWritten re-set the bit).
+    // Promote: rewrite as COMMITTED each snapshotted entry whose
+    // record still belongs to the run our fdatasync covered.  A
+    // newer persist that re-recorded the page since then owns the
+    // record now; it stays PENDING, and that persist's markWritten
+    // queues it for its own barrier.
     for (std::uint64_t w = 0; w < words_; ++w) {
         std::uint64_t word = snapshot_[w];
         while (word) {
-            const PageNum page =
-                w * 64 + static_cast<unsigned>(__builtin_ctzll(word));
+            const unsigned bit =
+                static_cast<unsigned>(std::countr_zero(word));
             word &= word - 1;
+            const PageNum page = w * 64 + bit;
             Shadow &s = shadow_[page];
+            const std::uint64_t run = s.promoteRun;
+            if (s.runId.load(std::memory_order_acquire) != run)
+                continue;
             const std::uint32_t crc =
-                s.crc.load(std::memory_order_acquire);
+                s.crc.load(std::memory_order_relaxed);
             const std::uint64_t epoch =
                 s.epoch.load(std::memory_order_relaxed);
-            const std::uint64_t run_id =
-                s.runId.load(std::memory_order_relaxed);
             const std::uint32_t stored_len =
                 s.storedLen.load(std::memory_order_relaxed);
-            if (const int e = writeEntry(page, crc, kCommitted,
-                                         epoch, run_id, stored_len);
+            std::atomic_thread_fence(std::memory_order_acquire);
+            if (s.runId.load(std::memory_order_relaxed) != run)
+                continue;
+            if (const int e = writeEntry(page, crc, kCommitted, epoch,
+                                         run, stored_len);
                 e != 0) {
                 if (error == 0)
                     error = e;
+                handBack(w, 1ULL << bit);
                 continue;
             }
-            s.flags.store(kCommitted, std::memory_order_release);
+            if (s.runId.load(std::memory_order_acquire) == run)
+                s.flags.store(kCommitted, std::memory_order_release);
         }
     }
     if (const int e = fdatasyncWithRetry(fd_); e != 0 && error == 0)
         error = e;
     promoting_.store(false, std::memory_order_release);
     return error;
+}
+
+void
+MetaSidecar::handBack(std::uint64_t word, std::uint64_t bits)
+{
+    // Only the claimed promoter hands bits back, and no other thread
+    // clears them, so counting after the OR cannot undercount.
+    const std::uint64_t added =
+        bits & ~pending_[word].fetch_or(bits, std::memory_order_relaxed);
+    unsynced_.fetch_add(static_cast<std::uint64_t>(std::popcount(added)),
+                        std::memory_order_relaxed);
 }
 
 int

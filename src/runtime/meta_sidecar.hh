@@ -24,23 +24,33 @@
  *                      a torn flush, not silent corruption);
  *   2. data pwrite     (the caller's persist path);
  *   3. markWritten()   the page joins the pending-promotion set —
- *                      only AFTER its data write returned;
- *   4. commitPending() snapshot the set, fdatasync the DATA file,
- *                      then rewrite the snapshotted entries as
- *                      COMMITTED and fdatasync the sidecar.  An
- *                      entry can therefore only read COMMITTED if
- *                      its data was durable first.
+ *                      only AFTER its data write returned — tagged
+ *                      with the run id of the persist it completed;
+ *   4. commitPending() snapshot the set and each page's written run,
+ *                      fdatasync the DATA file, then rewrite as
+ *                      COMMITTED every snapshotted entry whose record
+ *                      still belongs to that run, and fdatasync the
+ *                      sidecar.  An entry can therefore only read
+ *                      COMMITTED if its data was durable first; a
+ *                      record a newer persist replaced stays PENDING
+ *                      until that persist's own barrier.
  *   5. seal()          (off the fault path) stamps the header with
  *                      the epoch/run high-water mark, closing the
  *                      torn-tail classification window.
+ *
+ * NvRegion runs step 4 from a background write-behind thread whenever
+ * the unsynced set (pages past step 3, not yet in a barrier) reaches
+ * its dirty budget, after each multi-page run, after a scrub repair,
+ * and at the cut and at teardown (DESIGN.md §10).
  *
  * Every step reachable from the SIGSEGV admission path (1-4) is
  * allocation-free and lock-free: fixed preallocated buffers, atomic
  * bitmap words, and a single-promoter claim flag instead of a mutex
  * (a contended commitPending still makes the data durable; its pages
  * simply stay PENDING until the next barrier, which is safe — only
- * COMMITTED claims durability).  `python3 tools/pathlint --contract
- * sigsafe` walks this TU.
+ * COMMITTED claims durability).  Only the cut's barrier
+ * (IfPromoting::wait, never in signal context) waits the claim out.
+ * `python3 tools/pathlint --contract sigsafe` walks this TU.
  */
 
 #ifndef VIYOJIT_RUNTIME_META_SIDECAR_HH
@@ -161,19 +171,36 @@ class MetaSidecar
                     std::uint64_t epoch, std::uint64_t run_id,
                     std::uint32_t stored_len = 0);
 
-    /** Step 3: the page's data pwrite returned; it may now be
-     *  promoted by the next barrier. */
-    void markWritten(PageNum page);
+    /**
+     * Step 3: the data pwrite of persist `run_id` (the id its
+     * recordPage() carried; nonzero) returned, so the next barrier
+     * may promote the page — unless a newer recordPage() has
+     * replaced that record by then.
+     */
+    void markWritten(PageNum page, std::uint64_t run_id);
+
+    /** What commitPending() does while another barrier promotes. */
+    enum class IfPromoting
+    {
+        /** fdatasync only; this call's pages stay PENDING for the
+         *  next barrier.  Lock-free and signal-safe. */
+        syncOnly,
+        /** Yield until the running promotion ends, then promote
+         *  everything pending.  Never in signal context. */
+        wait,
+    };
 
     /**
      * Step 4, the group durability barrier: fdatasync `data_fd`,
      * then promote every page whose markWritten() preceded this
-     * call.  Lock-free: if another barrier is mid-promotion, the
-     * data fdatasync still runs (that is the caller's contract) and
-     * the pages stay PENDING for the next barrier.  Returns 0 or
-     * the first errno.
+     * call.  If another barrier is mid-promotion, `if_promoting`
+     * decides; the data fdatasync runs either way (that is the
+     * caller's contract).  Pages whose data sync or entry write
+     * failed stay pending for the next barrier.  Returns 0 or the
+     * first errno.
      */
-    int commitPending(int data_fd);
+    int commitPending(int data_fd,
+                      IfPromoting if_promoting = IfPromoting::syncOnly);
 
     /**
      * Step 5: seal the header (alternating slot, generation + 1)
@@ -197,6 +224,17 @@ class MetaSidecar
 
     const MetaLoadStats &loadStats() const { return loadStats_; }
 
+    /**
+     * Pages whose data write returned but that no barrier has covered
+     * yet: the write-back a cut needs beyond the dirty set.  The size
+     * of the pending-promotion set, read without a lock; it may run
+     * ahead of the set by the markWritten() calls in progress.
+     */
+    std::uint64_t unsyncedPages() const
+    {
+        return unsynced_.load(std::memory_order_relaxed);
+    }
+
     /** Pending-entry pwrites that failed on the fault path. */
     std::uint64_t entryWriteErrors() const
     {
@@ -217,19 +255,39 @@ class MetaSidecar
     std::uint64_t pageSize_ = 0;
 
     /** Shadow of the on-disk entries; per-field atomics so the
-     *  scrubber can read while copier threads record. */
+     *  scrubber and a promoter can read while persists record. */
     struct Shadow
     {
         std::atomic<std::uint32_t> crc{0};
         std::atomic<std::uint32_t> flags{0};
         std::atomic<std::uint64_t> epoch{0};
+
+        /** Also the record's sequence word: recordPage() zeroes it
+         *  while it rewrites the other fields, so a promoter that
+         *  reads the same nonzero run before and after them read
+         *  one record whole. */
         std::atomic<std::uint64_t> runId{0};
+
         std::atomic<std::uint32_t> storedLen{0};
+
+        /** Run whose data write markWritten() last reported. */
+        std::atomic<std::uint64_t> writtenRun{0};
+
+        /** writtenRun as the claimed promoter snapshotted it
+         *  (guarded by promoting_). */
+        std::uint64_t promoteRun = 0;
     };
     std::unique_ptr<Shadow[]> shadow_;
 
+    /** Return `bits` of pending_ word `word` to the set after a
+     *  failed promotion (claimed promoter only). */
+    void handBack(std::uint64_t word, std::uint64_t bits);
+
     /** Pages written-but-unpromoted, one bit each. */
     std::unique_ptr<std::atomic<std::uint64_t>[]> pending_;
+
+    /** Bits set in pending_ (unsyncedPages()). */
+    std::atomic<std::uint64_t> unsynced_{0};
 
     /** Promotion scratch (guarded by promoting_). */
     std::unique_ptr<std::uint64_t[]> snapshot_;

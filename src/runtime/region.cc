@@ -495,7 +495,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                 fatal("run persist to backing file failed after "
                       "bounded retries: ", std::strerror(error));
             for (unsigned i = 0; i < n; ++i)
-                meta.markWritten(global_first + done + i);
+                meta.markWritten(global_first + done + i, run_id);
             done += n;
         }
         region_.bytesPersisted_.fetch_add(
@@ -557,7 +557,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                 fatal("run persist to backing file failed after "
                       "bounded retries: ", std::strerror(error));
             for (unsigned i = 0; i < raw_n; ++i)
-                meta->markWritten(raw_first + i);
+                meta->markWritten(raw_first + i, run_id);
             raw_n = 0;
         };
         VIYOJIT_IGNORE_READS_BEGIN();
@@ -578,7 +578,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                     fatal("compressed run persist to backing file "
                           "failed after bounded retries: ",
                           std::strerror(error));
-                meta->markWritten(g);
+                meta->markWritten(g, run_id);
                 continue;
             }
             if (raw_n == 0)
@@ -671,6 +671,7 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         {
             if (!armed)
                 return;
+            region.stopEpochThread();
             unregisterRegion(&region);
             if (region.mem_ != nullptr)
                 ::munmap(region.mem_, region.bytes_);
@@ -812,9 +813,14 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         shards_.push_back(std::move(shard));
     }
 
+    budgetPages_.store(budget, std::memory_order_relaxed);
     registerRegion(this, mem_, bytes_);
     if (config.startEpochThread)
         startEpochThread();
+    // Last, so that no later throw can leave it running; the unwind
+    // stops the epoch thread if starting this one throws.
+    writeBehindRunning_.store(true, std::memory_order_relaxed);
+    writeBehindThread_ = std::thread([this]() { writeBehindLoop(); });
     unwind.armed = false;
 }
 
@@ -836,6 +842,10 @@ NvRegion::recover(const std::string &backing_path,
 
 NvRegion::~NvRegion()
 {
+    // First: no background barrier may race the teardown.
+    writeBehindRunning_.store(false, std::memory_order_relaxed);
+    if (writeBehindThread_.joinable())
+        writeBehindThread_.join();
     stopEpochThread();
     for (auto &shard : shards_) {
         common::MutexLock guard(shard->lock);
@@ -847,7 +857,9 @@ NvRegion::~NvRegion()
     copiers_.reset();
     // Destructor: best effort only — cannot throw, so a sync failure
     // is reported but not escalated.
-    if (const int error = meta_->commitPending(fd_); error != 0)
+    if (const int error = meta_->commitPending(
+            fd_, MetaSidecar::IfPromoting::wait);
+        error != 0)
         warn("commit barrier during region teardown failed: ",
              std::strerror(error));
     else if (const int error2 = meta_->seal(
@@ -1237,14 +1249,24 @@ NvRegion::scrubTick(std::uint64_t max_pages)
 std::uint64_t
 NvRegion::flushAll()
 {
+    // Keep background barriers out of the drain: the drain's own
+    // persists would trip one, and the cut would wait for it before
+    // running its own.
+    cutsInProgress_.fetch_add(1, std::memory_order_acq_rel);
     std::uint64_t flushed = 0;
     for (auto &shard : shards_) {
         common::MutexLock guard(shard->lock);
         flushed += shard->controller->flushAllDirty();
     }
-    if (const int error = meta_->commitPending(fd_); error != 0)
+    // Wait out a barrier that was already running, so every page
+    // written so far — the drained dirty set and the unsynced set
+    // alike — is COMMITTED before the seal.
+    const int commit_error =
+        meta_->commitPending(fd_, MetaSidecar::IfPromoting::wait);
+    cutsInProgress_.fetch_sub(1, std::memory_order_acq_rel);
+    if (commit_error != 0)
         fatal("commit barrier failed after bounded retries: ",
-              std::strerror(error));
+              std::strerror(commit_error));
     // Every dirty page is now durably committed: seal the header so
     // recovery classifies older commits as stable.
     if (const int error = meta_->seal(
@@ -1261,6 +1283,7 @@ NvRegion::setDirtyBudget(std::uint64_t pages)
     if (!pool_) {
         common::MutexLock guard(shards_[0]->lock);
         shards_[0]->controller->setDirtyBudget(pages);
+        budgetPages_.store(pages, std::memory_order_relaxed);
         return;
     }
     if (pages == 0)
@@ -1281,6 +1304,7 @@ NvRegion::setDirtyBudget(std::uint64_t pages)
     if (pages >= old_total) {
         pool_->grow(pages - old_total);
         rederiveWatermarks(pages);
+        budgetPages_.store(pages, std::memory_order_relaxed);
         return;
     }
 
@@ -1308,6 +1332,7 @@ NvRegion::setDirtyBudget(std::uint64_t pages)
         to_destroy -= pool_->confiscate(to_destroy);
     }
     rederiveWatermarks(pages);
+    budgetPages_.store(pages, std::memory_order_relaxed);
 }
 
 void
@@ -1389,6 +1414,7 @@ NvRegion::stats() const NO_THREAD_SAFETY_ANALYSIS
     out.scrubRepaired =
         scrubRepaired_.load(std::memory_order_relaxed);
     out.metaEntryWriteErrors = meta_->entryWriteErrors();
+    out.unsyncedPages = meta_->unsyncedPages();
     out.compressedPersists =
         compressedPersists_.load(std::memory_order_relaxed);
     out.compressBypasses =
@@ -1434,6 +1460,33 @@ NvRegion::stopEpochThread()
         return;
     if (epochThread_.joinable())
         epochThread_.join();
+}
+
+void
+NvRegion::writeBehindLoop()
+{
+    // The budget, not the clock, triggers a barrier: one covers about
+    // a budget of pages, so a cut finds less than one budget of
+    // earlier persists unsynced, at a few barriers a second.
+    int last_error = 0;
+    for (;;) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(config_.epochMicros));
+        if (!writeBehindRunning_.load(std::memory_order_relaxed))
+            return;
+        if (cutsInProgress_.load(std::memory_order_acquire) != 0 ||
+            meta_->unsyncedPages() <
+                budgetPages_.load(std::memory_order_relaxed))
+            continue;
+        // A failed barrier hands its pages back; the next one retries
+        // them, and the cut's barrier stays fatal on error.
+        const int error = meta_->commitPending(fd_);
+        if (error != 0 && error != last_error)
+            warn("background commit barrier failed: ",
+                 std::strerror(error),
+                 "; its pages stay pending for the next barrier");
+        last_error = error;
+    }
 }
 
 } // namespace viyojit::runtime

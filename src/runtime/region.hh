@@ -11,13 +11,13 @@
  * recovery verifies the reloaded image against (DESIGN.md §10).
  *
  * When a persist is durable.  A page turns clean once its pwrite
- * returns, but only an fdatasync makes it durable, and the region
- * calls it only after a multi-page run (inline, or at the end of a
- * copier batch that carried one), in flushAll() and at teardown.
- * Single-page persists never sync, so with maxRunPages = 1 a clean
- * page may exist only in the kernel page cache, under a PENDING
- * record: the cut's fdatasync must write back whatever the kernel
- * has not, on top of the dirty set the budget bounds.
+ * returns, but only a commit barrier (an fdatasync, then the
+ * sidecar's COMMITTED records) makes it durable.  Each region runs
+ * one background write-behind thread that issues a barrier whenever
+ * the unsynced set — pages written since the last barrier — reaches
+ * the dirty budget; multi-page runs, flushAll() and teardown issue
+ * their own.  A cut therefore writes back at most the dirty set plus
+ * less than one budget of earlier persists (DESIGN.md §10).
  *
  * Substitution note: the paper reads and clears hardware PTE dirty
  * bits through a kernel module.  Userspace cannot do that portably,
@@ -297,6 +297,12 @@ struct RegionStats
      *  (degrades recovery classification, never durability). */
     std::uint64_t metaEntryWriteErrors = 0;
 
+    /** Pages written to the backing file but not yet covered by a
+     *  commit barrier: the write-back a cut needs beyond the dirty
+     *  set.  The write-behind thread keeps it under about one
+     *  budget. */
+    std::uint64_t unsyncedPages = 0;
+
     /** Copy-out compression (compressFlush): pages shipped as a
      *  pagezip stream, pages the codec bypassed to raw, and the
      *  bytes the compressed path actually put on the wire
@@ -399,7 +405,10 @@ class NvRegion
     void epochTick();
 
     /**
-     * Emergency flush: persist every dirty page and fsync.
+     * Emergency flush: persist every dirty page, then commit every
+     * written page (waiting out a background barrier already
+     * running) and seal.  Background barriers do not start while it
+     * drains.
      * @return pages flushed.
      */
     std::uint64_t flushAll();
@@ -453,6 +462,13 @@ class NvRegion
 
     void startEpochThread();
     void stopEpochThread();
+
+    /**
+     * Body of the write-behind thread: every epochMicros, run a
+     * commit barrier if the unsynced set has reached the current
+     * dirty budget and no flushAll() is draining.  Takes no lock.
+     */
+    void writeBehindLoop();
 
     /**
      * Reload the image from the backing file's data extents only
@@ -578,6 +594,18 @@ class NvRegion
      * lock declares ACQUIRED_AFTER this mutex).
      */
     common::Mutex retuneLock_;
+
+    /** flushAll() calls draining now; background barriers wait. */
+    std::atomic<unsigned> cutsInProgress_{0};
+
+    /** The battery budget in pages (the pool total when sharded),
+     *  readable without a shard lock; follows setDirtyBudget(). */
+    std::atomic<std::uint64_t> budgetPages_{0};
+
+    /** The write-behind thread (writeBehindLoop), declared after
+     *  everything it reads. */
+    std::atomic<bool> writeBehindRunning_{false};
+    std::thread writeBehindThread_;
 };
 
 } // namespace viyojit::runtime

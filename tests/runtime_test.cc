@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -871,6 +872,156 @@ TEST_F(RegionFixture, ScrubSkipsPressuredShardWhole)
     region->flushAll();
     region->scrubTick(1);
     EXPECT_GT(region->stats().scrubScanned, pressured.scrubScanned);
+}
+
+// ---------------------------------------------------------------------
+// Commit barriers: the write-behind thread, the cut's barrier, and
+// the promotion of a record replaced after its write (DESIGN.md §10).
+// ---------------------------------------------------------------------
+
+/** A sidecar over an empty data file, both removed afterwards. */
+struct MetaSidecarTest : public RegionFixture
+{
+    static constexpr std::uint64_t kPages = 8;
+    static constexpr std::uint64_t kPageSize = 4096;
+
+    void
+    SetUp() override
+    {
+        const std::string path = makePath("sidecar_unit");
+        metaPath = path + ".meta";
+        cleanup.push_back(metaPath);
+        dataFd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+        ASSERT_GE(dataFd, 0);
+        meta = MetaSidecar::create(metaPath, kPages, kPageSize);
+    }
+
+    void
+    TearDown() override
+    {
+        meta.reset();
+        ::close(dataFd);
+        RegionFixture::TearDown();
+    }
+
+    /** Page `page`'s entry as a fresh open() reads it from disk. */
+    MetaEntry
+    onDisk(PageNum page) const
+    {
+        auto reopened = MetaSidecar::open(metaPath, kPages, kPageSize);
+        EXPECT_NE(reopened, nullptr);
+        return reopened ? reopened->entry(page) : MetaEntry{};
+    }
+
+    std::string metaPath;
+    int dataFd = -1;
+    std::unique_ptr<MetaSidecar> meta;
+};
+
+TEST_F(MetaSidecarTest, BarrierSkipsRecordReplacedAfterWrite)
+{
+    // Persist A of page 3 wrote its data; persist B re-recorded the
+    // page and its data write is still in flight when the barrier
+    // runs.  The barrier's fdatasync covered A only, so B's record
+    // must stay PENDING — in the shadow and on disk.
+    meta->recordPage(3, 0xAAAA, 1, 10);
+    meta->markWritten(3, 10);
+    EXPECT_EQ(meta->unsyncedPages(), 1u);
+    meta->recordPage(3, 0xBBBB, 1, 11);
+    ASSERT_EQ(meta->commitPending(dataFd), 0);
+    EXPECT_EQ(meta->unsyncedPages(), 0u);
+
+    for (const MetaEntry &e : {meta->entry(3), onDisk(3)}) {
+        EXPECT_EQ(e.flags, MetaSidecar::kPending);
+        EXPECT_EQ(e.crc, 0xBBBBu);
+        EXPECT_EQ(e.runId, 11u);
+    }
+}
+
+TEST_F(MetaSidecarTest, BarrierCommitsReplacingRecordAfterItsWrite)
+{
+    // Once B's own data write returns, the next barrier commits it.
+    meta->recordPage(3, 0xAAAA, 1, 10);
+    meta->markWritten(3, 10);
+    meta->recordPage(3, 0xBBBB, 1, 11);
+    ASSERT_EQ(meta->commitPending(dataFd), 0);
+    meta->markWritten(3, 11);
+    EXPECT_EQ(meta->unsyncedPages(), 1u);
+    ASSERT_EQ(meta->commitPending(dataFd), 0);
+    EXPECT_EQ(meta->unsyncedPages(), 0u);
+
+    for (const MetaEntry &e : {meta->entry(3), onDisk(3)}) {
+        EXPECT_EQ(e.flags, MetaSidecar::kCommitted);
+        EXPECT_EQ(e.crc, 0xBBBBu);
+        EXPECT_EQ(e.runId, 11u);
+    }
+}
+
+TEST_F(RegionFixture, WriteBehindCommitsWithoutFlushAll)
+{
+    // Single-page persists, no epoch tick and no flushAll: the
+    // write-behind thread alone must commit all but at most one
+    // budget of the persisted pages.
+    const std::string path = makePath("write_behind");
+    cleanup.push_back(path + ".meta");
+    const std::uint64_t ps = 4096;
+    const std::uint64_t budget = 8;
+    const std::uint64_t pages = 64;
+    auto region =
+        NvRegion::create(path, pages * ps, manualConfig(budget));
+    char *data = static_cast<char *>(region->base());
+    for (std::uint64_t p = 0; p < pages; ++p)
+        data[p * ps] = static_cast<char>(p + 1);
+    ASSERT_EQ(region->stats().dirtyPages, budget);
+    const std::uint64_t persisted = pages - budget;
+
+    std::uint64_t committed = 0;
+    for (int i = 0; i < 10000 && committed + budget < persisted; ++i) {
+        ::usleep(1000);
+        auto sidecar =
+            MetaSidecar::open(path + ".meta", region->pageCount(), ps);
+        ASSERT_NE(sidecar, nullptr);
+        committed = 0;
+        for (std::uint64_t p = 0; p < pages; ++p)
+            committed +=
+                sidecar->entry(p).flags == MetaSidecar::kCommitted;
+    }
+    EXPECT_GE(committed + budget, persisted);
+    EXPECT_LE(region->stats().unsyncedPages, budget);
+
+    region->flushAll();
+    EXPECT_EQ(region->stats().unsyncedPages, 0u);
+}
+
+TEST_F(RegionFixture, FlushAllCommitsEveryFlushedPage)
+{
+    // Each round dirties three budgets of distinct pages, so the
+    // evictions trip background barriers, then cuts.  The cut's
+    // barrier waits out one already running, so no record may be
+    // left PENDING.
+    const std::string path = makePath("cut_commits");
+    cleanup.push_back(path + ".meta");
+    const std::uint64_t ps = 4096;
+    const std::uint64_t budget = 8;
+    const std::uint64_t pages = 64;
+    auto region =
+        NvRegion::create(path, pages * ps, manualConfig(budget));
+    char *data = static_cast<char *>(region->base());
+    for (unsigned round = 0; round < 20; ++round) {
+        for (std::uint64_t i = 0; i < 3 * budget; ++i)
+            data[(round * 3 * budget + i) % pages * ps] =
+                static_cast<char>(round + 1);
+        // Land the cut at a different point of the write-behind
+        // thread's epoch each round.
+        ::usleep(round % 4 * 300);
+        region->flushAll();
+        auto sidecar =
+            MetaSidecar::open(path + ".meta", region->pageCount(), ps);
+        ASSERT_NE(sidecar, nullptr);
+        for (std::uint64_t p = 0; p < pages; ++p)
+            EXPECT_NE(sidecar->entry(p).flags, MetaSidecar::kPending)
+                << "round " << round << ", page " << p;
+    }
 }
 
 // ---------------------------------------------------------------------
