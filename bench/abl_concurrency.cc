@@ -235,6 +235,7 @@ runOnce(const RunConfig &rc)
     const runtime::RegionStats stats = region->stats();
     region.reset();
     std::remove(path.c_str());
+    std::remove((path + ".meta").c_str());
 
     RunOutcome out;
     out.totalOps = rc.opsPerThread * rc.threads;

@@ -10,7 +10,9 @@
 #                    baseline and a clang -Wthread-safety -Werror
 #                    build (clang legs skipped cleanly when clang is
 #                    not installed)
-#   build-release/   Release            the configuration the benches use
+#   build-release/   Release            the configuration the benches use;
+#                                       its ctest must leave no new
+#                                       /tmp/viyojit_* file behind
 #   .bench_build/    perfbench          repository-benchmark smoke: one
 #                                       short traced power-cut/restart
 #                                       run per real-NvRegion workload
@@ -112,7 +114,18 @@ fi
 echo "=== Release build ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
+# The suites make their backing images and `.meta` sidecars under
+# /tmp/viyojit_*; each test must remove what it made, so any file
+# there after the run that was not there before it fails CI.
+tmp_before=$(compgen -G '/tmp/viyojit_*' | sort || true)
 ctest --test-dir build-release --output-on-failure -j "${JOBS}"
+tmp_left=$(comm -13 <(printf '%s\n' "${tmp_before}") \
+                    <(compgen -G '/tmp/viyojit_*' | sort || true))
+if [[ -n "${tmp_left}" ]]; then
+    echo "Release ctest left files behind:" >&2
+    sed 's/^/  /' <<<"${tmp_left}" >&2
+    exit 1
+fi
 
 # Repository benchmark smoke (perfbench/, BENCHMARK.json): builds the
 # perfbench package into .bench_build/ (its own CMake project over

@@ -274,9 +274,13 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         (void)flush_tlb;
         // Two-level bitmap walk: only words (and summary words) with
         // a writable page in them are touched, so a mostly-clean
-        // shard scans in O(dirty), not O(pages).
-        PageNum run_start = invalidPage;
-        PageNum run_end = 0;
+        // shard scans in O(dirty), not O(pages).  One mprotect covers
+        // first..last writable page (the rest of that span is already
+        // read-only: under the shard lock the bitmap is exactly the
+        // read-write set), so the mm write lock and the TLB shootdown
+        // are paid once per tick, not once per run of written pages.
+        PageNum span_start = invalidPage;
+        PageNum span_end = 0;
         for (std::uint64_t s = 0; s < summary_.size(); ++s) {
             std::uint64_t sword = summary_[s];
             if (!sword)
@@ -295,19 +299,14 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                                      std::countr_zero(word));
                     word &= word - 1;
                     visitor(p, true);
-                    if (run_start != invalidPage && p != run_end) {
-                        mprotectRange(run_start,
-                                      run_end - run_start, PROT_READ);
-                        run_start = invalidPage;
-                    }
-                    if (run_start == invalidPage)
-                        run_start = p;
-                    run_end = p + 1;
+                    if (span_start == invalidPage)
+                        span_start = p;
+                    span_end = p + 1;
                 }
             }
         }
-        if (run_start != invalidPage)
-            mprotectRange(run_start, run_end - run_start, PROT_READ);
+        if (span_start != invalidPage)
+            mprotectRange(span_start, span_end - span_start, PROT_READ);
     }
 
     void

@@ -26,7 +26,10 @@
  * This preserves the recency signal exactly, at the cost of one
  * extra fault per page per epoch of activity, which is the overhead
  * the paper's MMU discussion (section 5.4) also attributes to
- * software-only implementations.
+ * software-only implementations.  The re-protection is one mprotect
+ * per shard per epoch, over the span from the shard's first to its
+ * last writable page (DESIGN.md §6), so the mm write lock and the
+ * TLB shootdown are paid once per shard, not once per run of pages.
  *
  * Sharding.  The page space is split into power-of-two-sized
  * contiguous blocks; each shard owns a block with its own controller

@@ -52,11 +52,14 @@ struct ConcurrencyFixture : public ::testing::Test
             ::unlink(path.c_str());
     }
 
+    /** A fresh image path; it and its `.meta` sidecar are unlinked
+     *  at teardown. */
     std::string
     makePath(const std::string &tag)
     {
         const std::string path = tempPath(tag);
         cleanup.push_back(path);
+        cleanup.push_back(path + ".meta");
         return path;
     }
 

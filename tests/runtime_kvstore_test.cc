@@ -52,11 +52,15 @@ struct RuntimeKvFixture : public ::testing::Test
             ::unlink(path.c_str());
     }
 
+    /** A fresh image path; it and its `.meta` sidecar are unlinked
+     *  at teardown. */
     std::string
     makePath(const std::string &tag)
     {
-        cleanup.push_back(tempPath(tag));
-        return cleanup.back();
+        const std::string path = tempPath(tag);
+        cleanup.push_back(path);
+        cleanup.push_back(path + ".meta");
+        return path;
     }
 
     std::vector<std::string> cleanup;

@@ -15,7 +15,8 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -49,6 +50,27 @@ manualConfig(std::uint64_t budget)
     return cfg;
 }
 
+/** Writable lines of /proc/self/maps that overlap [base, base+bytes). */
+std::size_t
+writableMappings(const void *base, std::uint64_t bytes)
+{
+    const auto lo = reinterpret_cast<std::uintptr_t>(base);
+    const std::uintptr_t hi = lo + bytes;
+    std::ifstream maps("/proc/self/maps");
+    std::size_t writable = 0;
+    std::string line;
+    while (std::getline(maps, line)) {
+        std::uintptr_t start = 0;
+        std::uintptr_t end = 0;
+        char perms[5] = {};
+        if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " %4s",
+                        &start, &end, perms) == 3 &&
+            start < hi && end > lo && perms[1] == 'w')
+            ++writable;
+    }
+    return writable;
+}
+
 struct RegionFixture : public ::testing::Test
 {
     void
@@ -58,11 +80,14 @@ struct RegionFixture : public ::testing::Test
             ::unlink(path.c_str());
     }
 
+    /** A fresh image path; it and the `.meta` sidecar that
+     *  NvRegion::create makes next to it are unlinked at teardown. */
     std::string
     makePath(const std::string &tag)
     {
         const std::string path = tempPath(tag);
         cleanup.push_back(path);
+        cleanup.push_back(path + ".meta");
         return path;
     }
 
@@ -169,17 +194,47 @@ TEST_F(RegionFixture, RecoveredRegionIsWritable)
 
 TEST_F(RegionFixture, EpochTickReprotectsDirtyPages)
 {
-    auto region =
-        NvRegion::create(makePath("epoch"), 64_KiB, manualConfig(8));
-    char *data = static_cast<char *>(region->base());
-    data[0] = 'a';
-    EXPECT_EQ(region->stats().writeFaults, 1u);
-    region->epochTick();
-    // Still dirty (within budget), but re-protected: the next write
-    // faults again, which is how recency is sampled.
-    data[1] = 'b';
-    EXPECT_EQ(region->stats().writeFaults, 2u);
-    EXPECT_EQ(region->stats().dirtyPages, 1u);
+    {
+        auto region =
+            NvRegion::create(makePath("epoch"), 64_KiB, manualConfig(8));
+        char *data = static_cast<char *>(region->base());
+        data[0] = 'a';
+        EXPECT_EQ(region->stats().writeFaults, 1u);
+        region->epochTick();
+        // Still dirty (within budget), but re-protected: the next
+        // write faults again, which is how recency is sampled.
+        data[1] = 'b';
+        EXPECT_EQ(region->stats().writeFaults, 2u);
+        EXPECT_EQ(region->stats().dirtyPages, 1u);
+    }
+
+    // Many runs of written pages: isolated pages, a run, the first
+    // and last page, and a run across the two-shard boundary at 128.
+    // Only permissions are checked, never the number of mappings:
+    // whether re-protected pages merge back into fewer mappings
+    // depends on the memory layout.
+    static constexpr std::array<std::uint64_t, 11> kWritten = {
+        0, 5, 6, 7, 60, 126, 127, 128, 129, 200, 255};
+    for (const unsigned shards : {1u, 2u}) {
+        SCOPED_TRACE(shards);
+        RuntimeConfig cfg = manualConfig(64);
+        cfg.shards = shards;
+        auto region = NvRegion::create(
+            makePath("epoch_runs" + std::to_string(shards)), 1_MiB, cfg);
+        ASSERT_EQ(region->pageCount(), 256u);
+        char *data = static_cast<char *>(region->base());
+        const std::uint64_t ps = region->pageSize();
+        for (const std::uint64_t p : kWritten)
+            data[p * ps] = 'a';
+        EXPECT_EQ(writableMappings(data, region->size()), 6u);
+        region->epochTick();
+        EXPECT_EQ(writableMappings(data, region->size()), 0u);
+        const std::uint64_t faults = region->stats().writeFaults;
+        for (const std::uint64_t p : kWritten)
+            data[p * ps] = 'b';
+        EXPECT_EQ(region->stats().writeFaults, faults + kWritten.size());
+        EXPECT_EQ(region->stats().dirtyPages, kWritten.size());
+    }
 }
 
 TEST_F(RegionFixture, ColdPagesGetCopiedProactively)
@@ -270,7 +325,6 @@ TEST_F(RegionFixture, RecoverRejectsPartialLastPage)
     // A file that ends mid-page (written on a host with a smaller
     // page, or appended to) would map a last page no shard owns.
     const std::string path = makePath("partial");
-    cleanup.push_back(path + ".meta");
     const auto ps = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
     {
         std::ofstream image(path, std::ios::binary);
@@ -297,7 +351,6 @@ TEST_F(RegionFixture, FailedCreateOrRecoverReleasesFdAndFiles)
 
     // Rejected before any file exists.
     const std::string odd = makePath("odd_shards");
-    cleanup.push_back(odd + ".meta");
     RuntimeConfig odd_cfg = manualConfig(8);
     odd_cfg.shards = 3;
     EXPECT_THROW(NvRegion::create(odd, 64_KiB, odd_cfg), FatalError);
@@ -308,7 +361,6 @@ TEST_F(RegionFixture, FailedCreateOrRecoverReleasesFdAndFiles)
     // Rejected after the open, the mapping and the sidecar: 16 pages
     // in 4 shards cannot split a 2-page budget.
     const std::string thin = makePath("thin_budget");
-    cleanup.push_back(thin + ".meta");
     RuntimeConfig thin_cfg = manualConfig(2);
     thin_cfg.shards = 4;
     EXPECT_THROW(NvRegion::create(thin, 64_KiB, thin_cfg), FatalError);
@@ -539,7 +591,6 @@ TEST(SyscallRetryTest, PreadFullyReadsAndReportsErrors)
 TEST_F(RegionFixture, SidecarVerifiesCleanRecovery)
 {
     const std::string path = makePath("sidecar");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     {
         auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
@@ -563,7 +614,6 @@ TEST_F(RegionFixture, SidecarVerifiesCleanRecovery)
 TEST_F(RegionFixture, CorruptBackingPageIsQuarantinedNotTrusted)
 {
     const std::string path = makePath("rot");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     {
         auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
@@ -621,7 +671,6 @@ hugePagesAlways()
 TEST_F(RegionFixture, RecoveryLoadsOnlyWrittenExtents)
 {
     const std::string path = makePath("sparse");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     const std::uint64_t pages = 1024;
     const std::array<PageNum, 8> written = {0,   3,   130, 257,
@@ -703,7 +752,6 @@ TEST_F(RegionFixture, TornSidecarEntryLoadsPageUnverified)
 {
     const std::string path = makePath("tornmeta");
     const std::string meta_path = path + ".meta";
-    cleanup.push_back(meta_path);
     const std::uint64_t ps = 4096;
     {
         auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
@@ -743,7 +791,6 @@ TEST_F(RegionFixture, LegacyImageWithoutSidecarLoadsUnverified)
 {
     const std::string path = makePath("legacy");
     const std::string meta_path = path + ".meta";
-    cleanup.push_back(meta_path);
     {
         auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
         char *data = static_cast<char *>(region->base());
@@ -767,7 +814,6 @@ TEST_F(RegionFixture, LegacyImageWithoutSidecarLoadsUnverified)
 TEST_F(RegionFixture, ScrubTickRepairsRottedDurableCopy)
 {
     const std::string path = makePath("scrub");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
     char *data = static_cast<char *>(region->base());
@@ -811,7 +857,6 @@ TEST_F(RegionFixture, EpochThreadScrubRepairsRottedDurableCopy)
     // The same repair, driven by the background epoch thread's
     // scrubPagesPerEpoch pass instead of a direct scrubTick().
     const std::string path = makePath("scrub_epoch");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     RuntimeConfig cfg = manualConfig(8);
     cfg.startEpochThread = true;
@@ -849,7 +894,6 @@ TEST_F(RegionFixture, ScrubSkipsPressuredShardWhole)
     // A shard at its dirty budget is skipped once per tick, not
     // locked and counted once for every committed page it holds.
     const std::string path = makePath("scrub_pressure");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     auto region = NvRegion::create(path, 256 * ps, manualConfig(8));
     ASSERT_EQ(region->pageCount(), 256u);
@@ -890,7 +934,6 @@ struct MetaSidecarTest : public RegionFixture
     {
         const std::string path = makePath("sidecar_unit");
         metaPath = path + ".meta";
-        cleanup.push_back(metaPath);
         dataFd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
         ASSERT_GE(dataFd, 0);
         meta = MetaSidecar::create(metaPath, kPages, kPageSize);
@@ -963,7 +1006,6 @@ TEST_F(RegionFixture, WriteBehindCommitsWithoutFlushAll)
     // write-behind thread alone must commit all but at most one
     // budget of the persisted pages.
     const std::string path = makePath("write_behind");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     const std::uint64_t budget = 8;
     const std::uint64_t pages = 64;
@@ -1000,7 +1042,6 @@ TEST_F(RegionFixture, FlushAllCommitsEveryFlushedPage)
     // barrier waits out one already running, so no record may be
     // left PENDING.
     const std::string path = makePath("cut_commits");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     const std::uint64_t budget = 8;
     const std::uint64_t pages = 64;
@@ -1051,7 +1092,6 @@ TEST_F(RegionFixture, CompressFlushRejectsUnsupportedConfigs)
 TEST_F(RegionFixture, CompressedFlushShipsFewerBytesAndRecovers)
 {
     const std::string path = makePath("cz_rt");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     std::vector<char> expected;
     {
@@ -1088,7 +1128,6 @@ TEST_F(RegionFixture, CompressedFlushShipsFewerBytesAndRecovers)
 TEST_F(RegionFixture, IncompressiblePagesBypassToRawAndRecover)
 {
     const std::string path = makePath("cz_rand");
-    cleanup.push_back(path + ".meta");
     std::vector<char> expected;
     {
         auto region =
@@ -1118,7 +1157,6 @@ TEST_F(RegionFixture, IncompressiblePagesBypassToRawAndRecover)
 TEST_F(RegionFixture, CorruptCompressedSlotIsQuarantined)
 {
     const std::string path = makePath("cz_rot");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     {
         auto region =
@@ -1159,7 +1197,6 @@ TEST_F(RegionFixture, CorruptCompressedSlotIsQuarantined)
 TEST_F(RegionFixture, ScrubRepairsRottedCompressedSlot)
 {
     const std::string path = makePath("cz_scrub");
-    cleanup.push_back(path + ".meta");
     const std::uint64_t ps = 4096;
     auto region = NvRegion::create(path, 64_KiB, compressConfig(8));
     char *data = static_cast<char *>(region->base());
