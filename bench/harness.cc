@@ -31,8 +31,6 @@ ExperimentConfig::defaultMmuCosts()
     costs.protectCost = 400_ns;
     costs.shootdownCost = 500_ns;
     costs.fullFlushCost = 2_us;
-    costs.dirtyScanPerPage = 15_ns;
-    costs.chargeScanToClock = false;
     return costs;
 }
 

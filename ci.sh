@@ -25,6 +25,12 @@
 # `./ci.sh lint` runs only the lint stage.  The full run puts lint
 # first: the gates are seconds, the build matrix is minutes.
 #
+# Lint is fail-fast.  Every stage after it runs even when an earlier
+# one failed (a red smoke gate must not hide the sanitizer and TSan
+# legs behind it): each runs through run_stage in its own `set -e`
+# subshell, so its first failing command ends that stage only.  The
+# script then exits 1 naming every failed stage.
+#
 # The release and sanitize configurations run the full ctest suite;
 # the sanitizer pass is what catches the bit-twiddling mistakes the
 # fast epoch paths invite (summary-mask indexing, shift widths,
@@ -106,26 +112,42 @@ run_lint() {
     echo "=== Lint OK ==="
 }
 
-run_lint
-if [[ "${1:-}" == "lint" ]]; then
-    exit 0
-fi
+# Run stage function $2 in a `set -e` subshell and record its name
+# $1 in failed_stages when it fails.  Call it as a plain statement:
+# bash ignores `set -e` inside any if/while condition or `||`, `&&`
+# or `!` context, subshells included, so a failing command in the
+# stage would then be skipped over instead of ending the stage.
+failed_stages=()
+run_stage() {
+    local name=$1
+    set +e
+    ( set -e; "$2" )
+    local rc=$?
+    set -e
+    if [[ "${rc}" -ne 0 ]]; then
+        echo "=== Stage FAILED: ${name} (exit ${rc}) ===" >&2
+        failed_stages+=("${name}")
+    fi
+}
 
-echo "=== Release build ==="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j "${JOBS}"
-# The suites make their backing images and `.meta` sidecars under
-# /tmp/viyojit_*; each test must remove what it made, so any file
-# there after the run that was not there before it fails CI.
-tmp_before=$(compgen -G '/tmp/viyojit_*' | sort || true)
-ctest --test-dir build-release --output-on-failure -j "${JOBS}"
-tmp_left=$(comm -13 <(printf '%s\n' "${tmp_before}") \
-                    <(compgen -G '/tmp/viyojit_*' | sort || true))
-if [[ -n "${tmp_left}" ]]; then
-    echo "Release ctest left files behind:" >&2
-    sed 's/^/  /' <<<"${tmp_left}" >&2
-    exit 1
-fi
+stage_release() {
+    echo "=== Release build ==="
+    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-release -j "${JOBS}"
+    # The suites make their backing images and `.meta` sidecars under
+    # /tmp/viyojit_*; each test must remove what it made, so any file
+    # there after the run that was not there before it fails CI.
+    local tmp_before tmp_left
+    tmp_before=$(compgen -G '/tmp/viyojit_*' | sort || true)
+    ctest --test-dir build-release --output-on-failure -j "${JOBS}"
+    tmp_left=$(comm -13 <(printf '%s\n' "${tmp_before}") \
+                        <(compgen -G '/tmp/viyojit_*' | sort || true))
+    if [[ -n "${tmp_left}" ]]; then
+        echo "Release ctest left files behind:" >&2
+        sed 's/^/  /' <<<"${tmp_left}" >&2
+        exit 1
+    fi
+}
 
 # Repository benchmark smoke (perfbench/, BENCHMARK.json): builds the
 # perfbench package into .bench_build/ (its own CMake project over
@@ -136,20 +158,23 @@ fi
 # acknowledged write, and the traced KV runs also restart from a
 # pre-flush copy that must lose writes (the negative self-check).  A
 # smoke, not a measurement: only "correct" is gated.
-echo "=== Repository benchmark smoke (perfbench restart-and-verify) ==="
-for run in "kv_update_1c 2" "kv_read_2c 2" "sim_update 3"; do
-    read -r workload seconds <<<"${run}"
-    if ! last=$(python3 perfbench/run.py --workload "${workload}" \
-                    --seed 1 --seconds "${seconds}" --trace 1 \
-                | tail -n 1) \
-       || ! python3 -c 'import json, sys
+stage_perfbench() {
+    echo "=== Repository benchmark smoke (perfbench restart-and-verify) ==="
+    local run workload seconds last
+    for run in "kv_update_1c 2" "kv_read_2c 2" "sim_update 3"; do
+        read -r workload seconds <<<"${run}"
+        if ! last=$(python3 perfbench/run.py --workload "${workload}" \
+                        --seed 1 --seconds "${seconds}" --trace 1 \
+                    | tail -n 1) \
+           || ! python3 -c 'import json, sys
 sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
-                "${last}"; then
-        echo "perfbench ${workload} smoke FAILED; last line: ${last:-}" >&2
-        exit 1
-    fi
-    echo "perfbench ${workload}: correct"
-done
+                    "${last}"; then
+            echo "perfbench ${workload} smoke FAILED; last line: ${last:-}" >&2
+            exit 1
+        fi
+        echo "perfbench ${workload}: correct"
+    done
+}
 
 # Concurrency gates (bench/abl_concurrency.cc):
 #  1. Sharding overhead: one thread over a sharded region must run
@@ -159,36 +184,46 @@ done
 #     median-of-3).  On a single-CPU host the scaling leg cannot
 #     mean anything, so it prints a loud warning and passes — the
 #     gate only has teeth where parallelism exists.
-echo "=== Concurrency smoke (parity + multicore scaling) ==="
-./build-release/bench/abl_concurrency --smoke
+stage_concurrency() {
+    echo "=== Concurrency smoke (parity + multicore scaling) ==="
+    ./build-release/bench/abl_concurrency --smoke
+}
 
 # Coalesced-IO gate: batched run writeback must beat the per-page
 # flush where locality exists and never lose where it does not
 # (bench/abl_io_batching.cc; bars are relaxed under --smoke).
-echo "=== IO-batching smoke (per-page vs coalesced flush) ==="
-./build-release/bench/abl_io_batching --smoke
+stage_io_batching() {
+    echo "=== IO-batching smoke (per-page vs coalesced flush) ==="
+    ./build-release/bench/abl_io_batching --smoke
+}
 
 # Copy-out compression gate: the measured-ratio budget multiplier
 # must hold on compressible records and cost nothing measurable on
 # incompressible data (bench/abl_compression.cc; bars relaxed under
 # --smoke).
-echo "=== Compression smoke (effective-budget multiplier) ==="
-./build-release/bench/abl_compression --smoke
+stage_compression() {
+    echo "=== Compression smoke (effective-budget multiplier) ==="
+    ./build-release/bench/abl_compression --smoke
+}
 
 # Smoke runs are gates, not measurements: they must leave the
 # committed BENCH_*.json artifacts untouched.
-if git rev-parse --is-inside-work-tree >/dev/null 2>&1 \
-        && ! git diff --quiet -- 'BENCH_*.json'; then
-    echo "smoke stage modified committed BENCH_*.json artifacts:" >&2
-    git diff --stat -- 'BENCH_*.json' >&2
-    exit 1
-fi
+stage_bench_artifacts() {
+    if git rev-parse --is-inside-work-tree >/dev/null 2>&1 \
+            && ! git diff --quiet -- 'BENCH_*.json'; then
+        echo "smoke stage modified committed BENCH_*.json artifacts:" >&2
+        git diff --stat -- 'BENCH_*.json' >&2
+        exit 1
+    fi
+}
 
-echo "=== ASan/UBSan build (-Werror) ==="
-cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DVIYOJIT_SANITIZE=ON -DVIYOJIT_WERROR=ON
-cmake --build build-sanitize -j "${JOBS}"
-ctest --test-dir build-sanitize --output-on-failure -j "${JOBS}"
+stage_sanitize() {
+    echo "=== ASan/UBSan build (-Werror) ==="
+    cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+          -DVIYOJIT_SANITIZE=ON -DVIYOJIT_WERROR=ON
+    cmake --build build-sanitize -j "${JOBS}"
+    ctest --test-dir build-sanitize --output-on-failure -j "${JOBS}"
+}
 
 # Seed-randomized torture pass: every CI run explores a different
 # power-cut/fault trajectory under the sanitizers, one-shard and
@@ -196,15 +231,17 @@ ctest --test-dir build-sanitize --output-on-failure -j "${JOBS}"
 # above are regression tests; this one is the search.
 # A failure replays exactly with the printed seed (see EXPERIMENTS.md).
 TORTURE_SEED=${VIYOJIT_TORTURE_SEED:-$(( $(date +%s) ^ $$ ))}
-echo "=== Randomized torture run (VIYOJIT_TORTURE_SEED=${TORTURE_SEED}) ==="
-if ! VIYOJIT_TORTURE_SEED="${TORTURE_SEED}" \
-     ./build-sanitize/tests/torture_test \
-     --gtest_filter='TortureTest.SurvivesSeededPowerCutsUnderFaultInjection:TortureTest.SurvivesPowerCutsDuringBatchedFlush:TortureTest.SurvivesPowerCutsDuringCompressedFlush:TortureTest.MultiShardDurabilityHoldsAtEveryCut'
-then
-    echo "torture run FAILED; replay with:" >&2
-    echo "  VIYOJIT_TORTURE_SEED=${TORTURE_SEED} ./build-sanitize/tests/torture_test" >&2
-    exit 1
-fi
+stage_torture() {
+    echo "=== Randomized torture run (VIYOJIT_TORTURE_SEED=${TORTURE_SEED}) ==="
+    if ! VIYOJIT_TORTURE_SEED="${TORTURE_SEED}" \
+         ./build-sanitize/tests/torture_test \
+         --gtest_filter='TortureTest.SurvivesSeededPowerCutsUnderFaultInjection:TortureTest.SurvivesPowerCutsDuringBatchedFlush:TortureTest.SurvivesPowerCutsDuringCompressedFlush:TortureTest.MultiShardDurabilityHoldsAtEveryCut'
+    then
+        echo "torture run FAILED; replay with:" >&2
+        echo "  VIYOJIT_TORTURE_SEED=${TORTURE_SEED} ./build-sanitize/tests/torture_test" >&2
+        exit 1
+    fi
+}
 
 # Corruption-torture pass: the same randomized seed, but with the
 # storage medium lying — silent bit flips, dropped writes, misdirected
@@ -213,15 +250,17 @@ fi
 # (auditUnattributed must be zero); ZeroSilentAcceptanceAcrossSeeds
 # alone covers three derived sub-seeds, so each CI run proves the
 # verified-durability property on >= 3 distinct fault trajectories.
-echo "=== Randomized corruption torture (VIYOJIT_TORTURE_SEED=${TORTURE_SEED}) ==="
-if ! VIYOJIT_TORTURE_SEED="${TORTURE_SEED}" \
-     ./build-sanitize/tests/torture_test \
-     --gtest_filter='CorruptionTortureTest.*'
-then
-    echo "corruption torture FAILED; replay with:" >&2
-    echo "  VIYOJIT_TORTURE_SEED=${TORTURE_SEED} ./build-sanitize/tests/torture_test --gtest_filter='CorruptionTortureTest.*'" >&2
-    exit 1
-fi
+stage_corruption_torture() {
+    echo "=== Randomized corruption torture (VIYOJIT_TORTURE_SEED=${TORTURE_SEED}) ==="
+    if ! VIYOJIT_TORTURE_SEED="${TORTURE_SEED}" \
+         ./build-sanitize/tests/torture_test \
+         --gtest_filter='CorruptionTortureTest.*'
+    then
+        echo "corruption torture FAILED; replay with:" >&2
+        echo "  VIYOJIT_TORTURE_SEED=${TORTURE_SEED} ./build-sanitize/tests/torture_test --gtest_filter='CorruptionTortureTest.*'" >&2
+        exit 1
+    fi
+}
 
 # TSan pass over the threaded suites.  report_signal_unsafe=0 stays
 # because TSan's signal check is all-or-nothing per process — but it
@@ -230,15 +269,38 @@ fi
 # signal-context call to a justified allowlist entry, so a NEW
 # unsafe call fails CI even though TSan stays quiet.  Races and
 # lock-order inversions still fail hard here.
-echo "=== TSan build (threaded suites) ==="
-cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DVIYOJIT_SANITIZE=thread
-cmake --build build-tsan -j "${JOBS}" \
-      --target concurrency_test torture_test runtime_test
-for suite in concurrency_test torture_test runtime_test; do
-    echo "--- TSan: ${suite} ---"
-    TSAN_OPTIONS="report_signal_unsafe=0 halt_on_error=0 exitcode=66" \
-        "./build-tsan/tests/${suite}"
-done
+stage_tsan() {
+    echo "=== TSan build (threaded suites) ==="
+    cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+          -DVIYOJIT_SANITIZE=thread
+    cmake --build build-tsan -j "${JOBS}" \
+          --target concurrency_test torture_test runtime_test
+    local suite
+    for suite in concurrency_test torture_test runtime_test; do
+        echo "--- TSan: ${suite} ---"
+        TSAN_OPTIONS="report_signal_unsafe=0 halt_on_error=0 exitcode=66" \
+            "./build-tsan/tests/${suite}"
+    done
+}
 
+run_lint
+if [[ "${1:-}" == "lint" ]]; then
+    exit 0
+fi
+
+run_stage release stage_release
+run_stage perfbench-smoke stage_perfbench
+run_stage concurrency-smoke stage_concurrency
+run_stage io-batching-smoke stage_io_batching
+run_stage compression-smoke stage_compression
+run_stage bench-artifacts stage_bench_artifacts
+run_stage asan-ubsan stage_sanitize
+run_stage randomized-torture stage_torture
+run_stage randomized-corruption-torture stage_corruption_torture
+run_stage tsan stage_tsan
+
+if [[ "${#failed_stages[@]}" -ne 0 ]]; then
+    echo "=== CI FAILED: ${failed_stages[*]} ===" >&2
+    exit 1
+fi
 echo "=== CI OK: lint + three build configurations green ==="

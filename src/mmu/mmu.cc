@@ -140,9 +140,12 @@ Mmu::scanAndClearDirty(PageNum begin, PageNum end, bool flush_tlb,
         ctx_.clock().advance(costs_.fullFlushCost);
         tlb_.flushAll();
     }
-    // Charge the work the scan actually performs: every present page
+    // Count the work the scan actually performs: every present page
     // on the legacy walk (which counts no nodes), only touched tree
-    // nodes + dirty leaves on the hierarchical one.
+    // nodes + dirty leaves on the hierarchical one.  The walk costs
+    // no virtual time: it runs on a background core in the paper's
+    // 20-core testbed, so only its TLB-flush side effect stalls the
+    // application.
     DirtyScanStats stats;
     if (legacy_walk) {
         table_.forEachPresent(begin, end, [&](PageNum vpn, Pte &pte) {
@@ -159,9 +162,6 @@ Mmu::scanAndClearDirty(PageNum begin, PageNum end, bool flush_tlb,
                 visitor(vpn, /*was_dirty=*/true);
             });
     }
-    if (costs_.chargeScanToClock)
-        ctx_.clock().advance(costs_.dirtyScanPerPage *
-                             (stats.visitedPages + stats.visitedNodes));
     return stats;
 }
 

@@ -48,17 +48,6 @@ struct MmuCostModel
     /** Full TLB flush (instruction only; refills charge walks). */
     Tick fullFlushCost = 2_us;
 
-    /** Per-page cost of the epoch dirty-bit scan walk. */
-    Tick dirtyScanPerPage = 15_ns;
-
-    /**
-     * Charge the per-page scan time to the main clock.  False by
-     * default: the scan runs on a background core in the paper's
-     * 20-core testbed, so only its TLB-flush side effect stalls the
-     * application.  (True models a single-core machine.)
-     */
-    bool chargeScanToClock = false;
-
     /**
      * Model the section-5.4 MMU extension: the hardware writes the
      * dirty/shadow bits through on *every* store (not just the first
@@ -127,11 +116,11 @@ class Mmu
      *
      * The default path prunes clean subtrees via the page table's
      * any-dirty-below summary bits and visits only dirty pages
-     * (`was_dirty == true` on every visit); scan time is charged per
-     * node actually touched.  `legacy_walk` restores the
-     * pre-optimization full walk over every present page, charging
-     * per present page (for A/B studies; see ViyojitConfig
-     * `legacyEpochScan`).
+     * (`was_dirty == true` on every visit), counting each node it
+     * touches.  `legacy_walk` restores the pre-optimization full walk
+     * over every present page (for A/B studies; see ViyojitConfig
+     * `legacyEpochScan`).  The walk itself costs no virtual time;
+     * only a `flush_tlb` flush advances the clock.
      *
      * @return the walk's DirtyScanStats: pages visited, nodes
      *         descended and subtrees pruned.  The legacy walk fills

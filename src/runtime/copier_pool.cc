@@ -111,17 +111,9 @@ CopierPool::workerLoop()
             }
         }
         // Batched submission: all device writes first (no shard lock),
-        // then one group durability barrier if the batch carried a
-        // run, then all completions (one shard lock acquisition
-        // each).  A batch is drawn from a single shard's ring, so
-        // every job shares one client and one sync covers them all.
-        bool had_run = false;
-        for (Job &job : jobs) {
+        // then all completions (one shard lock acquisition each).
+        for (Job &job : jobs)
             job.client->copierPersist(job.first, job.count);
-            had_run |= job.count > 1;
-        }
-        if (had_run)
-            jobs.front().client->copierSync();
         for (Job &job : jobs)
             job.client->copierComplete(job.first, job.count);
     }

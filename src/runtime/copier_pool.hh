@@ -25,12 +25,12 @@
  *
  * Workers pop jobs from one shard's queue until the POPPED PAGE SUM
  * reaches `batch` (always at least one job), run every persist
- * back-to-back (batched SSD submission), issue one group sync via
- * copierSync() when the batch carried any multi-page run, then every
- * complete, so the shard lock is touched once per batch instead of
- * once per page.  Bounding the batch by pages rather than jobs caps
- * the bytes a worker holds in flight even when every job is a
- * full-width run.
+ * back-to-back (batched SSD submission), then every complete, so the
+ * shard lock is touched once per batch instead of once per page.  No
+ * worker syncs: a persisted page joins the region's unsynced set, and
+ * the region's commit barrier makes it durable (DESIGN.md §10).
+ * Bounding the batch by pages rather than jobs caps the bytes a
+ * worker holds in flight even when every job is a full-width run.
  *
  * Lock order (region.hh rule 4): the pool's queue lock is a leaf —
  * submit() is called with a shard lock held, and workers never hold
@@ -59,13 +59,6 @@ class CopierClient
 
     /** Persist `count` pages from `first`; runs with no locks held. */
     virtual void copierPersist(PageNum first, unsigned count) = 0;
-
-    /**
-     * Group durability barrier, issued once per worker batch that
-     * contained a multi-page run — after every persist in the batch,
-     * before any completion.  Runs with no locks held.
-     */
-    virtual void copierSync() = 0;
 
     /** Completion bookkeeping; takes the shard lock internally. */
     virtual void copierComplete(PageNum first, unsigned count) = 0;
@@ -104,10 +97,10 @@ class CopierPool
      * True when `shard`'s ring is at least 3/4 occupied.  A single
      * relaxed atomic load — no lock, no allocation — so the SIGSEGV
      * admission path can consult it before choosing the run path:
-     * a backlogged ring means a wide run (and its group sync) would
-     * serialize behind queued work, so the submitter falls back to
-     * per-page jobs instead.  Advisory only: the depth gauge may lag
-     * the ring by a few slots, which at worst flips the heuristic.
+     * a backlogged ring means a wide run would serialize behind
+     * queued work, so the submitter falls back to per-page jobs
+     * instead.  Advisory only: the depth gauge may lag the ring by a
+     * few slots, which at worst flips the heuristic.
      */
     bool
     nearCapacity(unsigned shard) const

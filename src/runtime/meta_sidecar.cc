@@ -1,7 +1,6 @@
 #include "runtime/meta_sidecar.hh"
 
 #include <fcntl.h>
-#include <sched.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -226,19 +225,9 @@ MetaSidecar::markWritten(PageNum page, std::uint64_t run_id)
 }
 
 int
-MetaSidecar::commitPending(int data_fd, IfPromoting if_promoting)
+MetaSidecar::commitPending(int data_fd)
 {
-    while (promoting_.exchange(true, std::memory_order_acquire)) {
-        if (if_promoting == IfPromoting::syncOnly) {
-            // Another barrier is promoting.  Our own contract — the
-            // data is durable when we return — still holds; our pages
-            // simply stay PENDING until the next barrier, which is
-            // safe because only COMMITTED claims durability.
-            return fdatasyncWithRetry(data_fd);
-        }
-        while (promoting_.load(std::memory_order_relaxed))
-            ::sched_yield();
-    }
+    common::MutexLock guard(barrierLock_);
 
     // Snapshot BEFORE the data sync, with the run each page's
     // markWritten() reported: that run's data write returned before
@@ -265,13 +254,10 @@ MetaSidecar::commitPending(int data_fd, IfPromoting if_promoting)
         for (std::uint64_t w = 0; w < words_; ++w)
             if (snapshot_[w])
                 handBack(w, snapshot_[w]);
-        promoting_.store(false, std::memory_order_release);
         return error;
     }
-    if (snapped == 0) {
-        promoting_.store(false, std::memory_order_release);
+    if (snapped == 0)
         return 0;
-    }
 
     // Promote: rewrite as COMMITTED each snapshotted entry whose
     // record still belongs to the run our fdatasync covered.  A
@@ -312,14 +298,13 @@ MetaSidecar::commitPending(int data_fd, IfPromoting if_promoting)
     }
     if (const int e = fdatasyncWithRetry(fd_); e != 0 && error == 0)
         error = e;
-    promoting_.store(false, std::memory_order_release);
     return error;
 }
 
 void
 MetaSidecar::handBack(std::uint64_t word, std::uint64_t bits)
 {
-    // Only the claimed promoter hands bits back, and no other thread
+    // Only the running barrier hands bits back, and no other thread
     // clears them, so counting after the OR cannot undercount.
     const std::uint64_t added =
         bits & ~pending_[word].fetch_or(bits, std::memory_order_relaxed);

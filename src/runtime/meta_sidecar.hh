@@ -40,17 +40,18 @@
  *
  * NvRegion runs step 4 from a background write-behind thread whenever
  * the unsynced set (pages past step 3, not yet in a barrier) reaches
- * its dirty budget, after each multi-page run, after a scrub repair,
- * and at the cut and at teardown (DESIGN.md §10).
+ * its dirty budget, after a scrub tick's repairs, and at the cut and
+ * at teardown (DESIGN.md §10).  A persist never syncs on its own,
+ * whatever its run length.
  *
- * Every step reachable from the SIGSEGV admission path (1-4) is
- * allocation-free and lock-free: fixed preallocated buffers, atomic
- * bitmap words, and a single-promoter claim flag instead of a mutex
- * (a contended commitPending still makes the data durable; its pages
- * simply stay PENDING until the next barrier, which is safe — only
- * COMMITTED claims durability).  Only the cut's barrier
- * (IfPromoting::wait, never in signal context) waits the claim out.
- * `python3 tools/pathlint --contract sigsafe` walks this TU.
+ * Steps 1-3 are the persist path, reachable from the SIGSEGV
+ * admission path, so they are allocation-free and lock-free: fixed
+ * preallocated buffers and atomic bitmap words.  Step 4 runs only on
+ * plain threads, never with a shard lock held; barriers serialize on
+ * the sidecar's own leaf lock, so a barrier that finds another
+ * running waits it out, then promotes everything pending.  `python3
+ * tools/pathlint --contract sigsafe` walks this TU and rejects any
+ * fdatasync the admission path could reach.
  */
 
 #ifndef VIYOJIT_RUNTIME_META_SIDECAR_HH
@@ -61,6 +62,7 @@
 #include <memory>
 #include <string>
 
+#include "common/thread_annotations.hh"
 #include "common/types.hh"
 
 namespace viyojit::runtime
@@ -179,28 +181,17 @@ class MetaSidecar
      */
     void markWritten(PageNum page, std::uint64_t run_id);
 
-    /** What commitPending() does while another barrier promotes. */
-    enum class IfPromoting
-    {
-        /** fdatasync only; this call's pages stay PENDING for the
-         *  next barrier.  Lock-free and signal-safe. */
-        syncOnly,
-        /** Yield until the running promotion ends, then promote
-         *  everything pending.  Never in signal context. */
-        wait,
-    };
+    // ---- commit barrier (plain threads, no shard lock held) ---- //
 
     /**
-     * Step 4, the group durability barrier: fdatasync `data_fd`,
-     * then promote every page whose markWritten() preceded this
-     * call.  If another barrier is mid-promotion, `if_promoting`
-     * decides; the data fdatasync runs either way (that is the
-     * caller's contract).  Pages whose data sync or entry write
-     * failed stay pending for the next barrier.  Returns 0 or the
-     * first errno.
+     * Step 4, the commit barrier: fdatasync `data_fd`, then promote
+     * every page whose markWritten() preceded this call.  Barriers
+     * run one at a time under the sidecar's leaf lock, so a call
+     * that finds another running waits it out.  Pages whose data
+     * sync or entry write failed stay pending for the next barrier.
+     * Returns 0 or the first errno.
      */
-    int commitPending(int data_fd,
-                      IfPromoting if_promoting = IfPromoting::syncOnly);
+    int commitPending(int data_fd) EXCLUDES(barrierLock_);
 
     /**
      * Step 5: seal the header (alternating slot, generation + 1)
@@ -273,15 +264,16 @@ class MetaSidecar
         /** Run whose data write markWritten() last reported. */
         std::atomic<std::uint64_t> writtenRun{0};
 
-        /** writtenRun as the claimed promoter snapshotted it
-         *  (guarded by promoting_). */
+        /** writtenRun as the running barrier snapshotted it
+         *  (guarded by barrierLock_). */
         std::uint64_t promoteRun = 0;
     };
     std::unique_ptr<Shadow[]> shadow_;
 
     /** Return `bits` of pending_ word `word` to the set after a
-     *  failed promotion (claimed promoter only). */
-    void handBack(std::uint64_t word, std::uint64_t bits);
+     *  failed promotion. */
+    void handBack(std::uint64_t word, std::uint64_t bits)
+        REQUIRES(barrierLock_);
 
     /** Pages written-but-unpromoted, one bit each. */
     std::unique_ptr<std::atomic<std::uint64_t>[]> pending_;
@@ -289,12 +281,16 @@ class MetaSidecar
     /** Bits set in pending_ (unsyncedPages()). */
     std::atomic<std::uint64_t> unsynced_{0};
 
-    /** Promotion scratch (guarded by promoting_). */
-    std::unique_ptr<std::uint64_t[]> snapshot_;
-    std::uint64_t words_ = 0;
+    /**
+     * Serializes commit barriers.  A leaf: nothing else is acquired
+     * under it, and no caller holds a shard lock when it takes it.
+     */
+    common::Mutex barrierLock_;
 
-    /** Single-promoter claim for commitPending's promotion phase. */
-    std::atomic<bool> promoting_{false};
+    /** Promotion scratch of the running barrier. */
+    std::unique_ptr<std::uint64_t[]> snapshot_
+        PT_GUARDED_BY(barrierLock_);
+    std::uint64_t words_ = 0;
 
     std::atomic<std::uint64_t> entryWriteErrors_{0};
 

@@ -217,12 +217,13 @@ struct NvRegion::Shard
  *
  * With no copier pool, page copies are performed inline (pwritev) —
  * the "async" interface degenerates to immediate completion.  With
- * copiers, persistPageAsync enqueues a POD job (this backend is the
+ * copiers, persistRunAsync enqueues a POD job (this backend is the
  * CopierClient); the copier performs the write without the shard
  * lock (the page is write-protected for the duration) and runs the
- * completion under it.  Enqueueing happens on the SIGSEGV admission
- * path, so nothing here may heap-allocate in steady state (`python3
- * tools/pathlint --contract sigsafe`).
+ * completion under it.  A single page is a one-page run.  Enqueueing
+ * happens on the SIGSEGV admission path, so nothing here may
+ * heap-allocate in steady state (`python3 tools/pathlint --contract
+ * sigsafe`).
  *
  * The PagingBackend entry points run under the shard lock (the
  * controller is externally synchronized by it), which the REQUIRES
@@ -312,53 +313,48 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     void
     persistPageAsync(PageNum page) REQUIRES(shard_.lock) override
     {
-        if (!region_.copiers_) {
-            persistPageBlocking(page);
-            if (client_)
-                client_->onPersistComplete(page);
-            return;
-        }
-        // Called with the shard lock held; the copier queue lock is
-        // a leaf (lock-ordering rule 4).  The job is POD and the
-        // queue a preallocated ring: no allocation on this path.
-        ioPending_[page] = 1;
-        ++outstanding_;
-        region_.copiers_->submit(shard_.index,
-                                 CopierPool::Job{this, page, 1});
+        persistRunAsync(page, 1);
     }
 
+    /**
+     * Neither arm syncs: the written pages join the unsynced set,
+     * and the region's commit barrier makes them durable (DESIGN.md
+     * §10), whatever the run length.
+     */
     void
     persistRunAsync(PageNum first, unsigned count)
         REQUIRES(shard_.lock) override
     {
         if (!region_.copiers_) {
-            // Inline mode: one vectored write, its group durability
-            // barrier, then the per-page completions.
+            // Inline mode: one vectored write, then the per-page
+            // completions.
             persistRunGlobal(shard_.firstPage + first, count);
-            copierSync();
             if (client_)
                 for (unsigned i = 0; i < count; ++i)
                     client_->onPersistComplete(first + i);
             return;
         }
-        if (region_.copiers_->nearCapacity(shard_.index)) {
-            // Backlogged ring: a wide run — and the group sync its
-            // batch will pay — would serialize behind the queued
-            // jobs.  Degrade to per-page jobs so latency-sensitive
-            // submissions keep flowing.
+        // Called with the shard lock held; the copier queue lock is
+        // a leaf (lock-ordering rule 4).  Jobs are POD and the queue
+        // a preallocated ring: no allocation on this path.
+        for (unsigned i = 0; i < count; ++i)
+            ioPending_[first + i] = 1;
+        outstanding_ += count;
+        if (count > 1 && region_.copiers_->nearCapacity(shard_.index)) {
+            // Backlogged ring: a wide run would serialize behind the
+            // queued jobs.  Degrade to per-page jobs so
+            // latency-sensitive submissions keep flowing.
             region_.runFallbacks_.fetch_add(
                 1, std::memory_order_relaxed);
             for (unsigned i = 0; i < count; ++i)
-                persistPageAsync(first + i);
+                region_.copiers_->submit(
+                    shard_.index, CopierPool::Job{this, first + i, 1});
             return;
         }
         // One ring slot carries the whole run; the controller's
         // outstanding-IO cap counts its pages, so slots-used can
         // never exceed pages-outstanding and the ring cannot
         // overflow.
-        for (unsigned i = 0; i < count; ++i)
-            ioPending_[first + i] = 1;
-        outstanding_ += count;
         region_.copiers_->submit(shard_.index,
                                  CopierPool::Job{this, first, count});
     }
@@ -390,22 +386,6 @@ class NvRegion::ShardBackend : public core::PagingBackend,
             persistRunGlobalCompressed(shard_.firstPage + first, count);
         else
             persistRunGlobal(shard_.firstPage + first, count);
-    }
-
-    /**
-     * Group durability barrier for a copier batch that carried a run
-     * (also used inline by persistRunAsync).  No locks held.
-     */
-    void
-    copierSync() override
-    {
-        // The barrier also promotes this batch's commit records (data
-        // fdatasync first, then the records: COMMITTED can never
-        // outrun its data).
-        const int error = region_.meta_->commitPending(region_.fd_);
-        if (error != 0)
-            fatal("group sync to backing file failed after bounded "
-                  "retries: ", std::strerror(error));
     }
 
     /** Copier phase 2: bookkeeping under the shard lock. */
@@ -457,8 +437,8 @@ class NvRegion::ShardBackend : public core::PagingBackend,
      * Vectored write of `count` contiguous pages in one submission
      * (a single page is a one-element run).  Commit protocol step 1:
      * each page's PENDING record lands before its data write, so a
-     * crash between here and the group sync reads back as a torn
-     * flush, never as silent corruption.  The pages are
+     * crash between here and the next commit barrier reads back as a
+     * torn flush, never as silent corruption.  The pages are
      * write-protected for the whole persist, so the CRC and the write
      * see the same bytes.  The iovec block lives on the stack (this
      * path is reachable from the SIGSEGV admission path, which must
@@ -856,9 +836,7 @@ NvRegion::~NvRegion()
     copiers_.reset();
     // Destructor: best effort only — cannot throw, so a sync failure
     // is reported but not escalated.
-    if (const int error = meta_->commitPending(
-            fd_, MetaSidecar::IfPromoting::wait);
-        error != 0)
+    if (const int error = meta_->commitPending(fd_); error != 0)
         warn("commit barrier during region teardown failed: ",
              std::strerror(error));
     else if (const int error2 = meta_->seal(
@@ -1175,6 +1153,7 @@ NvRegion::scrubTick(std::uint64_t max_pages)
     std::vector<bool> pressured(shards_.size(), false);
     std::size_t pressured_count = 0;
     std::uint64_t scanned = 0;
+    std::uint64_t repairs = 0;
     for (std::uint64_t step = 0;
          step < pageCount_ && scanned < max_pages; ++step) {
         const PageNum page = scrubCursor_;
@@ -1197,7 +1176,7 @@ NvRegion::scrubTick(std::uint64_t max_pages)
             scrubSkippedBusy_.fetch_add(1,
                                         std::memory_order_relaxed);
             if (++pressured_count == shards_.size())
-                return;
+                break;
             continue;
         }
         if (shard.controller->tracker().isDirty(local) ||
@@ -1232,17 +1211,20 @@ NvRegion::scrubTick(std::uint64_t max_pages)
              " diverged from its commit record; repairing from the "
              "DRAM copy");
         // The page is clean, so DRAM still holds exactly what the
-        // commit record described: re-persist and re-commit it.
+        // commit record described: re-persist it, and commit below.
         core::PagingBackend &pb = *shard.backend;
         pb.persistPageBlocking(local);
-        if (const int error = meta_->commitPending(fd_);
-            error != 0) {
-            warn("scrub: repair commit failed: ",
-                 std::strerror(error));
-            continue;
-        }
-        scrubRepaired_.fetch_add(1, std::memory_order_relaxed);
+        ++repairs;
     }
+    // One barrier commits the tick's repairs, after every shard guard
+    // has closed: no shard lock is ever held across a barrier.
+    if (repairs == 0)
+        return;
+    if (const int error = meta_->commitPending(fd_); error != 0) {
+        warn("scrub: repair commit failed: ", std::strerror(error));
+        return;
+    }
+    scrubRepaired_.fetch_add(repairs, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -1257,11 +1239,10 @@ NvRegion::flushAll()
         common::MutexLock guard(shard->lock);
         flushed += shard->controller->flushAllDirty();
     }
-    // Wait out a barrier that was already running, so every page
-    // written so far — the drained dirty set and the unsynced set
-    // alike — is COMMITTED before the seal.
-    const int commit_error =
-        meta_->commitPending(fd_, MetaSidecar::IfPromoting::wait);
+    // The barrier waits out one that was already running, so every
+    // page written so far — the drained dirty set and the unsynced
+    // set alike — is COMMITTED before the seal.
+    const int commit_error = meta_->commitPending(fd_);
     cutsInProgress_.fetch_sub(1, std::memory_order_acq_rel);
     if (commit_error != 0)
         fatal("commit barrier failed after bounded retries: ",

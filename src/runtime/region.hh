@@ -12,12 +12,15 @@
  *
  * When a persist is durable.  A page turns clean once its pwrite
  * returns, but only a commit barrier (an fdatasync, then the
- * sidecar's COMMITTED records) makes it durable.  Each region runs
- * one background write-behind thread that issues a barrier whenever
- * the unsynced set — pages written since the last barrier — reaches
- * the dirty budget; multi-page runs, flushAll() and teardown issue
- * their own.  A cut therefore writes back at most the dirty set plus
- * less than one budget of earlier persists (DESIGN.md §10).
+ * sidecar's COMMITTED records) makes it durable.  One rule covers
+ * every persist, single page or multi-page run: no persist syncs on
+ * its own.  Each region runs one background write-behind thread that
+ * issues a barrier whenever the unsynced set — pages written since
+ * the last barrier — reaches the dirty budget; a scrub tick that
+ * repaired pages, flushAll() and teardown issue their own.  A cut
+ * therefore writes back at most the dirty set plus less than one
+ * budget of earlier persists (DESIGN.md §10), and the fault path
+ * never reaches an fdatasync.
  *
  * Substitution note: the paper reads and clears hardware PTE dirty
  * bits through a kernel module.  Userspace cannot do that portably,
@@ -44,9 +47,9 @@
  * default) bypasses the pool entirely and behaves exactly like the
  * pre-sharding runtime.
  *
- * LOCK ORDERING.  Four lock classes exist; deadlock freedom rests on
- * these rules, each encoded as a Clang Thread Safety annotation
- * (common/thread_annotations.hh) so a clang build with
+ * LOCK ORDERING.  Five lock classes exist; deadlock freedom rests on
+ * these rules, the first four encoded as Clang Thread Safety
+ * annotations (common/thread_annotations.hh) so a clang build with
  * `-Wthread-safety -Werror` rejects violations — see DESIGN.md §8
  * for the rule-by-rule annotation map:
  *
@@ -80,6 +83,15 @@
  *      lock), but copier workers never hold the queue lock while
  *      persisting or completing (completions re-acquire the owning
  *      shard's lock only).
+ *   5. The sidecar's barrier lock (MetaSidecar::commitPending) is a
+ *      leaf that is never taken with a shard lock held: the
+ *      write-behind thread, flushAll() and teardown take it after
+ *      releasing every shard lock, and scrubTick() commits its
+ *      repairs after its last shard guard closes.  A barrier holds it
+ *      across both fdatasyncs and acquires nothing under it.  The
+ *      analysis cannot name a shard lock from the sidecar, so this
+ *      rule is prose; pathlint's sigsafe contract hard-denies
+ *      fdatasync, which keeps the barrier off the fault path.
  *
  * Shard state (controller, backend bitmaps, IO bookkeeping) is
  * GUARDED_BY/PT_GUARDED_BY the shard lock.  Condition waits go
@@ -198,9 +210,9 @@ struct RuntimeConfig
 
     /**
      * Longest run of page-number-adjacent victims one vectored write
-     * (pwritev, with a group fdatasync) may carry
-     * (core::ViyojitConfig::maxRunPages).  1 — the default — writes
-     * one page per IO.
+     * (pwritev) may carry (core::ViyojitConfig::maxRunPages).  1 —
+     * the default — writes one page per IO.  A run's pages wait for
+     * the next commit barrier like any other persist.
      */
     unsigned maxRunPages = 1;
 
@@ -469,7 +481,8 @@ class NvRegion
     /**
      * Body of the write-behind thread: every epochMicros, run a
      * commit barrier if the unsynced set has reached the current
-     * dirty budget and no flushAll() is draining.  Takes no lock.
+     * dirty budget and no flushAll() is draining.  Takes no shard
+     * lock; the barrier takes only the sidecar's leaf lock.
      */
     void writeBehindLoop();
 
@@ -572,7 +585,8 @@ class NvRegion
 
     /** Durable commit-record sidecar (`<backing>.meta`).  Its
      *  fault-path interface is lock-free, so persist paths use it
-     *  without extra synchronization. */
+     *  without extra synchronization; its commit barrier serializes
+     *  on its own leaf lock (lock-ordering rule 5). */
     std::unique_ptr<MetaSidecar> meta_;
 
     RuntimeRecoveryReport recoveryReport_;

@@ -430,8 +430,8 @@ TEST_F(RegionFixture, CoalescedRecoveryRoundTrip)
 TEST_F(RegionFixture, CoalescedWithCopiersMatchesFile)
 {
     // The copier-pool run path: one ring slot per run, the worker
-    // batch bounded by summed pages, one group sync per batch with a
-    // run in it.  End state must equal the inline path's.
+    // batch bounded by summed pages.  End state must equal the
+    // inline path's.
     const std::string path = makePath("coalesce_cp");
     RuntimeConfig cfg = manualConfig(8);
     cfg.maxRunPages = 8;
@@ -454,6 +454,63 @@ TEST_F(RegionFixture, CoalescedWithCopiersMatchesFile)
     file.read(file_bytes.data(),
               static_cast<std::streamsize>(file_bytes.size()));
     EXPECT_EQ(std::memcmp(file_bytes.data(), data, region->size()), 0);
+}
+
+TEST_F(RegionFixture, RunPersistsWaitForTheNextBarrier)
+{
+    // A multi-page run joins the unsynced set exactly as a single
+    // page does: no persist syncs on its own, inline or on a copier.
+    // Fewer pages than the budget get persisted, so the write-behind
+    // barrier never fires, and only the cut's barrier commits them.
+    for (const unsigned copiers : {0u, 2u}) {
+        SCOPED_TRACE("copierThreads = " + std::to_string(copiers));
+        const std::string path =
+            makePath("run_unsynced_" + std::to_string(copiers));
+        const std::uint64_t budget = 64;
+        RuntimeConfig cfg = manualConfig(budget);
+        cfg.maxRunPages = 8;
+        cfg.extentShift = 2;
+        cfg.copierThreads = copiers;
+        auto region = NvRegion::create(path, 256 * 4096, cfg);
+        char *data = static_cast<char *>(region->base());
+        const std::uint64_t ps = region->pageSize();
+        PageNum next = 0;
+        for (int round = 0; round < 4; ++round) {
+            for (int i = 0; i < 24; ++i, ++next)
+                std::memset(data + next * ps, round + 1, ps);
+            region->epochTick();
+        }
+
+        // Every page is written once, so the copies the controller
+        // started have all landed once that many pages persisted.  A
+        // copier completion can stage a partial run that only the
+        // next epoch boundary submits, so the wait ticks as well.
+        const auto landed = [ps](const RegionStats &s) {
+            return s.bytesPersisted / ps >= s.proactiveCopies +
+                                                s.shedEvictions +
+                                                s.blockedEvictions;
+        };
+        RegionStats stats = region->stats();
+        for (int i = 0; i < 10000 && !landed(stats); ++i) {
+            ::usleep(1000);
+            region->epochTick();
+            stats = region->stats();
+        }
+        ASSERT_TRUE(landed(stats));
+        const std::uint64_t persisted = stats.bytesPersisted / ps;
+        EXPECT_GT(stats.runSubmits, 0u);
+        EXPECT_LT(persisted, budget);
+        EXPECT_EQ(stats.unsyncedPages, persisted);
+
+        region->flushAll();
+        EXPECT_EQ(region->stats().unsyncedPages, 0u);
+        auto sidecar =
+            MetaSidecar::open(path + ".meta", region->pageCount(), ps);
+        ASSERT_NE(sidecar, nullptr);
+        for (PageNum p = 0; p < region->pageCount(); ++p)
+            EXPECT_NE(sidecar->entry(p).flags, MetaSidecar::kPending)
+                << "page " << p;
+    }
 }
 
 TEST(SyscallRetryTest, FdatasyncReportsNonRetryableErrno)
