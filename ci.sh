@@ -12,7 +12,11 @@
 #                    not installed)
 #   build-release/   Release            the configuration the benches use;
 #                                       its ctest must leave no new
-#                                       /tmp/viyojit_* file behind
+#                                       /tmp/viyojit_* file behind, and
+#                                       the self-checking examples
+#                                       (quickstart, persistent_queue,
+#                                       kvstore_cache, failover_drill)
+#                                       must exit 0
 #   .bench_build/    perfbench          repository-benchmark smoke: one
 #                                       short traced power-cut/restart
 #                                       run per real-NvRegion workload
@@ -147,6 +151,23 @@ stage_release() {
         sed 's/^/  /' <<<"${tmp_left}" >&2
         exit 1
     fi
+}
+
+# The examples print a narrative and exit 1 when what they recover
+# differs from what they wrote.  quickstart and persistent_queue make
+# a backing image and its .meta sidecar, so they run in a fresh /tmp
+# directory that the stage removes however it ends.
+stage_examples() {
+    echo "=== Examples (self-checking, Release) ==="
+    local dir
+    dir=$(mktemp -d /tmp/viyojit_examples.XXXXXX)
+    # Expanded now: the trap runs when the stage's subshell exits,
+    # after this function's locals are gone.
+    trap "rm -rf -- '${dir}'" EXIT
+    ./build-release/examples/quickstart "${dir}/quickstart.img"
+    ./build-release/examples/persistent_queue "${dir}/queue.img"
+    ./build-release/examples/kvstore_cache
+    ./build-release/examples/failover_drill
 }
 
 # Repository benchmark smoke (perfbench/, BENCHMARK.json): builds the
@@ -289,6 +310,7 @@ if [[ "${1:-}" == "lint" ]]; then
 fi
 
 run_stage release stage_release
+run_stage examples stage_examples
 run_stage perfbench-smoke stage_perfbench
 run_stage concurrency-smoke stage_concurrency
 run_stage io-batching-smoke stage_io_batching

@@ -6,6 +6,7 @@
  * trap transparently), shows the dirty budget holding, simulates a
  * power failure by flushing, and recovers the contents in a second
  * region — the full lifecycle in ~60 lines of application code.
+ * Exits 1 unless the recovered region holds every byte it wrote.
  *
  * Run:  ./quickstart [backing-file]
  */
@@ -17,6 +18,13 @@
 #include "runtime/region.hh"
 
 using namespace viyojit;
+
+namespace
+{
+
+const char greeting[] = "hello, battery-backed world";
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -39,7 +47,7 @@ main(int argc, char **argv)
                     (unsigned long long)config.dirtyBudgetPages);
 
         // Ordinary stores; Viyojit tracks them via write faults.
-        std::strcpy(mem, "hello, battery-backed world");
+        std::strcpy(mem, greeting);
         for (std::uint64_t p = 0; p < region->pageCount(); ++p)
             mem[p * region->pageSize() + 64] = static_cast<char>(p);
 
@@ -64,5 +72,11 @@ main(int argc, char **argv)
     std::printf("recovered: \"%s\"\n", mem);
     std::printf("page 5 tag: %d (expected 5)\n",
                 mem[5 * recovered->pageSize() + 64]);
-    return 0;
+    bool intact = std::strcmp(mem, greeting) == 0;
+    for (std::uint64_t p = 0; p < recovered->pageCount(); ++p)
+        intact = intact &&
+                 mem[p * recovered->pageSize() + 64] ==
+                     static_cast<char>(p);
+    std::printf("content %s\n", intact ? "verified" : "CORRUPT");
+    return intact ? 0 : 1;
 }

@@ -114,7 +114,8 @@ struct ViyojitConfig
      * something could wait on a staged page and at every epoch
      * boundary, so a latency-sensitive fault never stalls behind an
      * unfilled run.  The effective cap is min(maxRunPages,
-     * backend.maxRunPages(), maxOutstandingIos, 64).
+     * maxOutstandingIos, 64); at 1 each victim is submitted as a
+     * one-page run the moment it is picked.
      */
     unsigned maxRunPages = 1;
 

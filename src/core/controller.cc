@@ -16,8 +16,7 @@ DirtyBudgetController::DirtyBudgetController(PagingBackend &backend,
       // The paper's 64-epoch history and 0.75 EWMA weight (the
       // trackers' defaults).
       recency_(backend.pageCount()),
-      inFlight_(backend.pageCount(), 0),
-      bridged_(backend.pageCount(), 0)
+      copyState_(backend.pageCount(), kIdle)
 {
     if (budget_ == 0)
         fatal("dirty budget must be at least one page");
@@ -38,7 +37,7 @@ DirtyBudgetController::DirtyBudgetController(PagingBackend &backend,
 bool
 DirtyBudgetController::isInFlight(PageNum page) const
 {
-    return inFlight_[page] != 0;
+    return copyState_[page] != kIdle;
 }
 
 void
@@ -156,7 +155,7 @@ DirtyBudgetController::makeRoomForAdmission(bool allow_evict)
 bool
 DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
 {
-    if (inFlight_[page]) {
+    if (copyState_[page] != kIdle) {
         // The page is being copied out; its frame is write-protected
         // until the copy is durable (the protect-before-copy rule of
         // section 5.1).  Block until the copy completes, after which
@@ -167,7 +166,8 @@ DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
             flushPendingRun();
         ++stats_.inFlightWaits;
         backend_.waitForPersist(page);
-        VIYOJIT_ASSERT(!inFlight_[page], "wait did not complete copy");
+        VIYOJIT_ASSERT(copyState_[page] == kIdle,
+                       "wait did not complete copy");
     }
 
     if (tracker_.isDirty(page)) {
@@ -220,7 +220,7 @@ DirtyBudgetController::onHardwareDirty(PageNum page, bool allow_evict)
 {
     VIYOJIT_ASSERT(config_.hardwareAssist,
                    "hardware admission without hardware assist");
-    if (inFlight_[page] || tracker_.isDirty(page))
+    if (copyState_[page] != kIdle || tracker_.isDirty(page))
         return true;
     if (!makeRoomForAdmission(allow_evict))
         return false;
@@ -243,7 +243,7 @@ DirtyBudgetController::chooseVictim(PageNum skip,
         spare_last_admitted ? lastAdmitted_ : invalidPage;
     return recency_.pickVictim(
         tracker_, [this, skip, spared](PageNum p) {
-            return p == skip || p == spared || inFlight_[p] != 0;
+            return p == skip || p == spared || copyState_[p] != kIdle;
         });
 }
 
@@ -289,10 +289,7 @@ DirtyBudgetController::evictOneBlocking()
         backend_.outstandingIos() + runPages_ <
             config_.maxOutstandingIos &&
         backend_.canSubmit()) {
-        if (maxRunLen() > 1)
-            stageCopy(victim, /*proactive=*/false);
-        else
-            startCopy(victim, /*proactive=*/false);
+        stageCopy(victim, /*proactive=*/false);
         ++stats_.shedEvictions;
         return;
     }
@@ -373,7 +370,6 @@ DirtyBudgetController::pumpProactiveCopies(PageNum skip)
         return;
     pumping_ = true;
     const std::uint64_t threshold = currentThreshold();
-    const unsigned run_cap = maxRunLen();
     // Staged (not yet submitted) run pages count against the IO cap:
     // they are in flight for budget purposes, just not on the device.
     while (backend_.outstandingIos() + runPages_ <
@@ -385,43 +381,30 @@ DirtyBudgetController::pumpProactiveCopies(PageNum skip)
         const PageNum victim = chooseVictim(skip);
         if (victim == invalidPage)
             break;
-        if (run_cap > 1)
-            stageCopy(victim);
-        else
-            startCopy(victim);
+        stageCopy(victim);
     }
     // A partial run stays staged across pump invocations: in steady
     // state each IO completion frees one page of credit, and flushing
     // here would degenerate every run to a single page.  Staged pages
-    // block nobody — every wait site submits the run first, and the
-    // epoch boundary bounds how long a partial run can linger.
+    // block nobody — every wait site submits the run first — and the
+    // next epoch boundary submits a partial run; with no tick, it
+    // waits for a wait on one of its pages or the drain.
     pumping_ = false;
-}
-
-void
-DirtyBudgetController::beginCopy(PageNum victim, bool proactive)
-{
-    VIYOJIT_ASSERT(!inFlight_[victim], "double copy of one page");
-    VIYOJIT_ASSERT(tracker_.isDirty(victim), "copying a clean page");
-    backend_.protectPage(victim);
-    inFlight_[victim] = 1;
-    ++inFlightCount_;
-    if (proactive)
-        ++stats_.proactiveCopies;
-}
-
-void
-DirtyBudgetController::startCopy(PageNum victim, bool proactive)
-{
-    beginCopy(victim, proactive);
-    backend_.persistPageAsync(victim);
 }
 
 void
 DirtyBudgetController::stageCopy(PageNum victim, bool proactive)
 {
-    beginCopy(victim, proactive);
-    const unsigned window = std::min(maxRunLen(), 64u);
+    VIYOJIT_ASSERT(copyState_[victim] == kIdle, "double copy of one page");
+    VIYOJIT_ASSERT(tracker_.isDirty(victim), "copying a clean page");
+    backend_.protectPage(victim);
+    copyState_[victim] = kCopying;
+    ++inFlightCount_;
+    if (proactive)
+        ++stats_.proactiveCopies;
+    // The run cap, within the IO cap and the 64-page mask.
+    const unsigned window = std::min(
+        {std::max(config_.maxRunPages, 1u), config_.maxOutstandingIos, 64u});
     if (runMask_ != 0) {
         if (victim >= runBase_ && victim < runBase_ + window) {
             runMask_ |= 1ULL << (victim - runBase_);
@@ -446,6 +429,10 @@ DirtyBudgetController::stageCopy(PageNum victim, bool proactive)
     runBase_ = base;
     runMask_ = 1ULL << (victim - base);
     runPages_ = 1;
+    // A one-page window is full as soon as it opens: submit it now,
+    // so a run cap of 1 writes each victim the moment it is picked.
+    if (window == 1)
+        flushPendingRun();
 }
 
 bool
@@ -487,8 +474,7 @@ DirtyBudgetController::flushPendingRun()
         // rewriting it changes nothing — and one saved admission
         // slot buys the extra page transfers many times over on an
         // IOPS-bound device.  Bounded by maxBridgePages per gap; the
-        // merged length stays within the window, which maxRunLen()
-        // already caps to what the backend accepts.
+        // merged length stays within the window.
         //
         // Never bridge during the emergency flush: on wall power the
         // extra transfers are amortized IOPS savings, but on battery
@@ -506,7 +492,7 @@ DirtyBudgetController::flushPendingRun()
             bool bridgeable = true;
             for (unsigned g = start + len; g < next; ++g) {
                 const PageNum p = base + g;
-                if (tracker_.isDirty(p) || inFlight_[p]) {
+                if (tracker_.isDirty(p) || copyState_[p] != kIdle) {
                     bridgeable = false;
                     break;
                 }
@@ -516,8 +502,7 @@ DirtyBudgetController::flushPendingRun()
             for (unsigned g = start + len; g < next; ++g) {
                 const PageNum p = base + g;
                 backend_.protectPage(p);
-                inFlight_[p] = 1;
-                bridged_[p] = 1;
+                copyState_[p] = kBridging;
             }
             stats_.runPagesBridged += gap;
             const std::uint64_t shifted2 = mask >> next;
@@ -531,39 +516,27 @@ DirtyBudgetController::flushPendingRun()
                        : ((shifted2 & ~((1ULL << len2) - 1)) << next);
             len = next + len2 - start;
         }
-        if (len == 1) {
-            backend_.persistPageAsync(base + start);
-            continue;
+        if (len > 1) {
+            ++stats_.runSubmits;
+            stats_.runPagesCoalesced += len;
         }
-        ++stats_.runSubmits;
-        stats_.runPagesCoalesced += len;
         backend_.persistRunAsync(base + start, len);
     }
-}
-
-unsigned
-DirtyBudgetController::maxRunLen() const
-{
-    unsigned cap = std::max(config_.maxRunPages, 1u);
-    cap = std::min(cap, std::max(backend_.maxRunPages(), 1u));
-    cap = std::min<std::uint64_t>(cap, config_.maxOutstandingIos);
-    return cap;
 }
 
 void
 DirtyBudgetController::onPersistComplete(PageNum page)
 {
-    VIYOJIT_ASSERT(inFlight_[page], "completion for idle page");
-    if (bridged_[page]) {
+    VIYOJIT_ASSERT(copyState_[page] != kIdle, "completion for idle page");
+    const bool bridged = copyState_[page] == kBridging;
+    copyState_[page] = kIdle;
+    if (bridged) {
         // A clean gap-bridging page: it was already durable, so the
         // write changed nothing — just release it.
-        bridged_[page] = 0;
-        inFlight_[page] = 0;
         if (config_.hardwareAssist)
             backend_.unprotectPage(page);
         return;
     }
-    inFlight_[page] = 0;
     --inFlightCount_;
     tracker_.markClean(page);
     updateSpareGauge();
@@ -582,18 +555,17 @@ DirtyBudgetController::onPersistComplete(PageNum page)
 void
 DirtyBudgetController::onPersistAborted(PageNum page)
 {
-    VIYOJIT_ASSERT(inFlight_[page], "abort for idle page");
-    if (bridged_[page]) {
+    VIYOJIT_ASSERT(copyState_[page] != kIdle, "abort for idle page");
+    const bool bridged = copyState_[page] == kBridging;
+    copyState_[page] = kIdle;
+    if (bridged) {
         // The bridge write failed, but the page's previous durable
         // copy is intact and the page is still clean — no retry
         // needed, and no aborted-copy accounting (no copy was owed).
-        bridged_[page] = 0;
-        inFlight_[page] = 0;
         if (config_.hardwareAssist)
             backend_.unprotectPage(page);
         return;
     }
-    inFlight_[page] = 0;
     --inFlightCount_;
     ++stats_.abortedCopies;
     // The page is still dirty and still counted against the budget,
@@ -664,7 +636,7 @@ DirtyBudgetController::releaseDonatableQuota()
 void
 DirtyBudgetController::flushPageBlocking(PageNum page)
 {
-    if (inFlight_[page]) {
+    if (copyState_[page] != kIdle) {
         if (isStaged(page)) // staged, not submitted: no IO to wait on
             flushPendingRun();
         backend_.waitForPersist(page);
@@ -683,7 +655,6 @@ DirtyBudgetController::flushAllDirty()
 {
     std::uint64_t flushed = 0;
     emergencyFlush_ = true;
-    const unsigned run_cap = maxRunLen();
     // Power is out, so victim order no longer protects hot pages —
     // everything must be durable before the reserve drains.  Sweep
     // the dirty set in page order instead of recency order: recency
@@ -703,7 +674,7 @@ DirtyBudgetController::flushAllDirty()
                tracker_.count() - inFlightCount_ > 0) {
             while (cursor < order.size() &&
                    (!tracker_.isDirty(order[cursor]) ||
-                    inFlight_[order[cursor]]))
+                    copyState_[order[cursor]] != kIdle))
                 ++cursor;
             if (cursor == order.size()) {
                 // Aborted copies (and any late admissions) reopen
@@ -715,11 +686,7 @@ DirtyBudgetController::flushAllDirty()
                 cursor = 0;
                 continue;
             }
-            const PageNum victim = order[cursor++];
-            if (run_cap > 1)
-                stageCopy(victim, /*proactive=*/false);
-            else
-                startCopy(victim, /*proactive=*/false);
+            stageCopy(order[cursor++], /*proactive=*/false);
             ++flushed;
             launched = true;
         }

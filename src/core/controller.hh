@@ -343,40 +343,28 @@ class DirtyBudgetController : public PersistClient
     void pumpProactiveCopies(PageNum skip = invalidPage);
 
     /**
-     * Launch an asynchronous copy of `victim`.
-     * @param proactive false for emergency-flush copies, which do
-     *        not count toward the proactive-copy statistic.
-     */
-    void startCopy(PageNum victim, bool proactive = true);
-
-    /**
-     * Protect `victim` and account it in flight — the submission-free
-     * front half of startCopy, shared with the run-staging path.
-     */
-    void beginCopy(PageNum victim, bool proactive);
-
-    /**
-     * Accept `victim` into the staged-run window if it lands inside
-     * it; otherwise submit the window's stretches and open a new
-     * window around the victim.  Only called when maxRunLen() > 1.
+     * Launch an asynchronous copy of `victim` — the one launch path:
+     * protect it, account it in flight, and accept it into the
+     * staged-run window if it lands inside it; otherwise submit the
+     * window's stretches and open a new window around the victim.  A
+     * one-page window (run cap 1) is submitted at once.
+     * @param proactive false for fault-path and emergency-flush
+     *        copies, which do not count toward the proactive-copy
+     *        statistic.
      */
     void stageCopy(PageNum victim, bool proactive = true);
 
     /**
-     * Submit every contiguous stretch of the staged window
-     * (persistRunAsync for 2+ pages, the per-page path for
-     * singletons).  Called whenever someone could wait on a staged
-     * page — before any backend wait, at the epoch boundary, and in
-     * the drain loops — so a latency-sensitive fault never stalls
-     * behind an unfilled run.
+     * Submit every contiguous stretch of the staged window, one
+     * persistRunAsync each.  Called whenever someone could wait on a
+     * staged page — before any backend wait, at the epoch boundary,
+     * and in the drain loops — so a latency-sensitive fault never
+     * stalls behind an unfilled run.
      */
     void flushPendingRun();
 
     /** True while `page` sits in the staged, unsubmitted window. */
     bool isStaged(PageNum page) const;
-
-    /** Effective run-length cap (1 = one page per IO). */
-    unsigned maxRunLen() const;
 
     PagingBackend &backend_;
     ViyojitConfig config_;
@@ -398,16 +386,17 @@ class DirtyBudgetController : public PersistClient
     EpochRecencyTracker recency_;
     DirtyPagePressure pressure_;
 
-    std::vector<std::uint8_t> inFlight_;
-
     /**
-     * Clean pages riding along in a submitted run to bridge a gap
-     * between dirty sub-runs (config_.maxBridgePages).  They are
-     * marked in inFlight_ so faults wait out the copy, but are NOT
-     * counted in inFlightCount_, which tracks dirty pages under
-     * copy (inFlightCount_ <= tracker_.count() must hold).
+     * Per-page copy state.  kCopying: a dirty page under copy, staged
+     * or submitted.  kBridging: a clean page riding along in a
+     * submitted run to bridge a gap between dirty sub-runs
+     * (config_.maxBridgePages).  Faults wait out both, but only
+     * kCopying pages count in inFlightCount_, which tracks dirty
+     * pages under copy (inFlightCount_ <= tracker_.count() must
+     * hold).
      */
-    std::vector<std::uint8_t> bridged_;
+    enum CopyState : std::uint8_t { kIdle, kCopying, kBridging };
+    std::vector<std::uint8_t> copyState_;
 
     std::uint64_t inFlightCount_ = 0;
     bool pumping_ = false;

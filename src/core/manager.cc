@@ -216,20 +216,11 @@ ViyojitManager::SimBackend::retryOrAbort(PageNum page)
 }
 
 void
-ViyojitManager::SimBackend::persistPageAsync(PageNum page)
-{
-    VIYOJIT_ASSERT(!inFlight_.contains(page), "double copy of a page");
-    PendingCopy io;
-    io.generation = ++nextGeneration_;
-    inFlight_.emplace(page, io);
-    submitAttempt(page);
-}
-
-void
 ViyojitManager::SimBackend::persistRunAsync(PageNum first,
                                             unsigned count)
 {
-    VIYOJIT_ASSERT(count >= 1 && count <= maxRunPages(),
+    VIYOJIT_ASSERT(count >= 1 &&
+                       count <= std::max(1u, mgr_.config_.maxRunPages),
                    "run length out of range");
     for (unsigned i = 0; i < count; ++i) {
         VIYOJIT_ASSERT(!inFlight_.contains(first + i),
@@ -238,13 +229,12 @@ ViyojitManager::SimBackend::persistRunAsync(PageNum first,
         io.generation = ++nextGeneration_;
         inFlight_.emplace(first + i, io);
     }
-    submitRunAttempt(first, count);
-}
-
-unsigned
-ViyojitManager::SimBackend::maxRunPages() const
-{
-    return std::max(1u, mgr_.config_.maxRunPages);
+    // A one-page run takes the per-page attempt chain, the same one
+    // pages split out of a failed run retry on.
+    if (count == 1)
+        submitAttempt(first);
+    else
+        submitRunAttempt(first, count);
 }
 
 void
@@ -730,13 +720,7 @@ ViyojitManager::powerFailureFlush()
 bool
 ViyojitManager::verifyDurability() const
 {
-    for (PageNum p = 0; p < nextFreePage_; ++p) {
-        if (versions_[p] == 0)
-            continue;
-        if (ssd_.durableHash(key(p)) != pageContentHash(p))
-            return false;
-    }
-    return true;
+    return verifyDurabilityChecked().clean();
 }
 
 void

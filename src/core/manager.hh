@@ -146,7 +146,7 @@ struct IoFaultStats
     /** Completions of abandoned attempts, ignored. */
     std::uint64_t staleCompletions = 0;
 
-    /** Coalesced run IOs submitted (persistRunAsync batches). */
+    /** Coalesced run IOs submitted (persistRunAsync, 2+ pages). */
     std::uint64_t runSubmits = 0;
 
     /** Pages carried by those runs (avg run length = pages/submits). */
@@ -356,9 +356,7 @@ class ViyojitManager
         void scanAndClearDirty(
             bool flush_tlb,
             FunctionRef<void(PageNum, bool)> visitor) override;
-        void persistPageAsync(PageNum page) override;
         void persistRunAsync(PageNum first, unsigned count) override;
-        unsigned maxRunPages() const override;
         void persistPageBlocking(PageNum page) override;
         void waitForPersist(PageNum page) override;
         void waitForAnyPersist() override;

@@ -7,7 +7,9 @@
  * the simulated MMU/SSD (benchmarks) and on real memory via
  * mprotect/SIGSEGV (the runtime library).  The interface is exactly
  * the three primitives the paper's mechanism consumes — protect,
- * unprotect, dirty-bit check-and-clear — plus page persistence.
+ * unprotect, dirty-bit check-and-clear — plus page persistence, which
+ * has one asynchronous entry point: persistRunAsync, where a single
+ * page is a one-page run.
  */
 
 #ifndef VIYOJIT_CORE_PAGING_BACKEND_HH
@@ -25,7 +27,8 @@ namespace viyojit::core
  * Receiver of asynchronous persistence outcomes.
  *
  * The controller implements this; backends deliver every
- * persistPageAsync outcome through it instead of per-call closures.
+ * persistRunAsync outcome through it, page by page, instead of
+ * per-call closures.
  * Keeping the channel a plain virtual interface (not std::function)
  * matters on the runtime substrate: a copy is launched from inside
  * the SIGSEGV admission path, where constructing a capturing closure
@@ -51,7 +54,7 @@ class PagingBackend
     virtual ~PagingBackend() = default;
 
     /**
-     * Attach the receiver for persistPageAsync outcomes.  Called
+     * Attach the receiver for persistRunAsync outcomes.  Called
      * once, by the controller's constructor, before any IO.
      */
     void setPersistClient(PersistClient &client) { client_ = &client; }
@@ -82,53 +85,38 @@ class PagingBackend
         FunctionRef<void(PageNum, bool was_dirty)> visitor) = 0;
 
     /**
-     * Start persisting a page to the backing store.  The outcome is
-     * delivered to the attached PersistClient — onPersistComplete
-     * when the page is durable, onPersistAborted when the backend
-     * gives up.  The caller guarantees the page is write-protected
-     * for the duration, and that a client is attached.
-     */
-    virtual void persistPageAsync(PageNum page) = 0;
-
-    /**
      * Start persisting `count` page-number-adjacent pages
      * [first, first + count) as one batched IO (run coalescing: one
      * device admission amortized over the run instead of one per
-     * page).  Outcomes are still delivered per page through the
-     * PersistClient, so a backend may split the run — a page whose
-     * slice fails retries alone while the rest complete.  The caller
-     * guarantees 1 <= count <= maxRunPages() and that every page in
-     * the run is write-protected.  The default degenerates to
-     * per-page submission for substrates without a batched path.
+     * page); a single page is a one-page run.  Outcomes are
+     * delivered per page to the attached PersistClient —
+     * onPersistComplete when the page is durable, onPersistAborted
+     * when the backend gives up — so a backend may split the run: a
+     * page whose slice fails retries alone while the rest complete.
+     * The caller guarantees 1 <= count <= the run cap
+     * (ViyojitConfig::maxRunPages), that every page in the run is
+     * write-protected for the duration, and that a client is
+     * attached.
      */
-    virtual void persistRunAsync(PageNum first, unsigned count)
-    {
-        for (unsigned i = 0; i < count; ++i)
-            persistPageAsync(first + i);
-    }
-
-    /**
-     * Largest run persistRunAsync accepts; 1 means the backend has no
-     * batched path and the controller submits page-at-a-time.
-     */
-    virtual unsigned maxRunPages() const { return 1; }
+    virtual void persistRunAsync(PageNum first, unsigned count) = 0;
 
     /** Persist a page and wait for durability. */
     virtual void persistPageBlocking(PageNum page) = 0;
 
     /**
-     * Block until a previously submitted persistPageAsync for `page`
-     * completes (used when a write faults on a page under writeback).
+     * Block until the submitted persistRunAsync covering `page`
+     * completes for it (used when a write faults on a page under
+     * writeback).
      */
     virtual void waitForPersist(PageNum page) = 0;
 
     /**
-     * Block until at least one outstanding persistPageAsync
-     * completes.  No-op when none are outstanding.
+     * Block until at least one page of an outstanding
+     * persistRunAsync completes.  No-op when none are outstanding.
      */
     virtual void waitForAnyPersist() = 0;
 
-    /** IOs submitted via persistPageAsync and not yet complete. */
+    /** Pages submitted via persistRunAsync and not yet complete. */
     virtual unsigned outstandingIos() const = 0;
 
     /**

@@ -310,12 +310,6 @@ class NvRegion::ShardBackend : public core::PagingBackend,
             mprotectRange(span_start, span_end - span_start, PROT_READ);
     }
 
-    void
-    persistPageAsync(PageNum page) REQUIRES(shard_.lock) override
-    {
-        persistRunAsync(page, 1);
-    }
-
     /**
      * Neither arm syncs: the written pages join the unsynced set,
      * and the region's commit barrier makes them durable (DESIGN.md
@@ -328,7 +322,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         if (!region_.copiers_) {
             // Inline mode: one vectored write, then the per-page
             // completions.
-            persistRunGlobal(shard_.firstPage + first, count);
+            writeRun<false>(shard_.firstPage + first, count);
             if (client_)
                 for (unsigned i = 0; i < count; ++i)
                     client_->onPersistComplete(first + i);
@@ -359,33 +353,26 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                                  CopierPool::Job{this, first, count});
     }
 
-    unsigned
-    maxRunPages() const override
-    {
-        return std::max(region_.config_.maxRunPages, 1u);
-    }
-
     void
     persistPageBlocking(PageNum page) REQUIRES(shard_.lock) override
     {
-        persistRunGlobal(shard_.firstPage + page, 1);
+        writeRun<false>(shard_.firstPage + page, 1);
     }
 
     /**
      * Copier phase 1: the device write, no locks held.  This is the
-     * ONLY caller of the compressed persist path: copier threads run
-     * outside signal context, so the codec stays off the SIGSEGV
-     * handler's call graph (`python3 tools/pathlint --contract
-     * sigsafe` hard-fails if any pagezip symbol becomes reachable
-     * from it).
+     * ONLY caller of writeRun<true>: copier threads run outside
+     * signal context, so the codec stays off the SIGSEGV handler's
+     * call graph (`python3 tools/pathlint --contract sigsafe`
+     * hard-fails if any pagezip symbol becomes reachable from it).
      */
     void
     copierPersist(PageNum first, unsigned count) override
     {
         if (region_.config_.compressFlush)
-            persistRunGlobalCompressed(shard_.firstPage + first, count);
+            writeRun<true>(shard_.firstPage + first, count);
         else
-            persistRunGlobal(shard_.firstPage + first, count);
+            writeRun<false>(shard_.firstPage + first, count);
     }
 
     /** Copier phase 2: bookkeeping under the shard lock. */
@@ -434,55 +421,6 @@ class NvRegion::ShardBackend : public core::PagingBackend,
 
   private:
     /**
-     * Vectored write of `count` contiguous pages in one submission
-     * (a single page is a one-element run).  Commit protocol step 1:
-     * each page's PENDING record lands before its data write, so a
-     * crash between here and the next commit barrier reads back as a
-     * torn flush, never as silent corruption.  The pages are
-     * write-protected for the whole persist, so the CRC and the write
-     * see the same bytes.  The iovec block lives on the stack (this
-     * path is reachable from the SIGSEGV admission path, which must
-     * not heap-allocate), chunked so arbitrarily wide runs still fit.
-     */
-    void
-    persistRunGlobal(PageNum global_first, unsigned count)
-    {
-        const std::uint64_t ps = region_.pageSize_;
-        MetaSidecar &meta = *region_.meta_;
-        const std::uint64_t run_id =
-            region_.nextRunId_.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t epoch =
-            region_.flushEpoch_.load(std::memory_order_relaxed);
-        constexpr unsigned kChunk = 64;
-        struct iovec iov[kChunk];
-        unsigned done = 0;
-        while (done < count) {
-            const unsigned n = std::min(count - done, kChunk);
-            VIYOJIT_IGNORE_READS_BEGIN();
-            for (unsigned i = 0; i < n; ++i) {
-                const PageNum g = global_first + done + i;
-                iov[i].iov_base = region_.mem_ + g * ps;
-                iov[i].iov_len = ps;
-                meta.recordPage(
-                    g, common::crc32c(region_.mem_ + g * ps, ps), epoch,
-                    run_id);
-            }
-            const int error = pwritevFullyWithRetry(
-                region_.fd_, iov, n, (global_first + done) * ps);
-            VIYOJIT_IGNORE_READS_END();
-            if (error != 0)
-                fatal("run persist to backing file failed after "
-                      "bounded retries: ", std::strerror(error));
-            for (unsigned i = 0; i < n; ++i)
-                meta.markWritten(global_first + done + i, run_id);
-            done += n;
-        }
-        region_.bytesPersisted_.fetch_add(
-            static_cast<std::uint64_t>(count) * ps,
-            std::memory_order_relaxed);
-    }
-
-    /**
      * Per-copier-thread codec scratch, sized to pagezipBound(page
      * size) on first use.  thread_local because copier workers from
      * the shared pool can run persists for the same shard
@@ -500,29 +438,39 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     }
 
     /**
-     * Compressed run persist (copier threads only).  Same commit
-     * protocol as persistRunGlobal, with each page's stored length in
-     * its PENDING record BEFORE the data write: a crash mid-write
-     * reads back as a torn compressed flush, never as silent
-     * corruption.  The codec's bypass (pagezipCompress == 0) ships
-     * the raw page instead, so incompressible data costs only the
-     * size probe.  Bypassed (raw) pages still coalesce into vectored
-     * stretches; a compressed page breaks the stretch and lands its
-     * stream at the page's own slot offset — the slot remainder stays
-     * stale, which is fine because recovery reads only storedLen
-     * bytes.  markWritten for raw pages happens after the pwritev
-     * that covered them.
+     * The one run writer: `count` contiguous pages in vectored
+     * submissions (a single page is a one-element run).  Commit
+     * protocol step 1: each page's PENDING record — with its stored
+     * length — lands before its data write, so a crash between here
+     * and the next commit barrier reads back as a torn flush, never
+     * as silent corruption.  The pages are write-protected for the
+     * whole persist, so the CRC and the write see the same bytes.
+     * The iovec block lives on the stack (writeRun<false> is
+     * reachable from the SIGSEGV admission path, which must not
+     * heap-allocate) and is written out every 64 pages, so
+     * arbitrarily wide runs still fit.
+     *
+     * kCompress (copier threads only) runs each page through the
+     * codec.  A page it shrinks breaks the vectored stretch and lands
+     * its stream at the page's own slot offset — the slot remainder
+     * stays stale, which is fine because recovery reads only
+     * storedLen bytes; a page it bypasses (pagezipCompress == 0)
+     * stays in the raw stretch, so incompressible data costs only
+     * the size probe.
      */
+    template <bool kCompress>
     void
-    persistRunGlobalCompressed(PageNum global_first, unsigned count)
+    writeRun(PageNum global_first, unsigned count)
     {
         const std::uint64_t ps = region_.pageSize_;
-        MetaSidecar *const meta = region_.meta_.get();
-        const std::uint64_t run_id = region_.nextRunId_.fetch_add(
-            1, std::memory_order_relaxed);
+        MetaSidecar &meta = *region_.meta_;
+        const std::uint64_t run_id =
+            region_.nextRunId_.fetch_add(1, std::memory_order_relaxed);
         const std::uint64_t epoch =
             region_.flushEpoch_.load(std::memory_order_relaxed);
-        std::uint8_t *const scratch = compressScratch();
+        std::uint8_t *scratch = nullptr;
+        if constexpr (kCompress)
+            scratch = compressScratch();
         constexpr unsigned kChunk = 64;
         struct iovec iov[kChunk];
         PageNum raw_first = 0;
@@ -536,33 +484,36 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                 fatal("run persist to backing file failed after "
                       "bounded retries: ", std::strerror(error));
             for (unsigned i = 0; i < raw_n; ++i)
-                meta->markWritten(raw_first + i, run_id);
+                meta.markWritten(raw_first + i, run_id);
             raw_n = 0;
         };
         VIYOJIT_IGNORE_READS_BEGIN();
         for (unsigned i = 0; i < count; ++i) {
             const PageNum g = global_first + i;
-            const char *src = region_.mem_ + g * ps;
-            const std::uint64_t stored = common::pagezipCompress(
-                src, ps, scratch, common::pagezipBound(ps));
-            meta->recordPage(g, common::crc32c(src, ps), epoch,
-                             run_id,
-                             static_cast<std::uint32_t>(stored));
-            region_.noteCompressedShip(stored, ps);
-            if (stored != 0) {
-                flush_raw();
-                if (const int error = pwriteFullyWithRetry(
-                        region_.fd_, scratch, stored, g * ps);
-                    error != 0)
-                    fatal("compressed run persist to backing file "
-                          "failed after bounded retries: ",
-                          std::strerror(error));
-                meta->markWritten(g, run_id);
-                continue;
+            char *const src = region_.mem_ + g * ps;
+            std::uint64_t stored = 0;
+            if constexpr (kCompress)
+                stored = common::pagezipCompress(
+                    src, ps, scratch, common::pagezipBound(ps));
+            meta.recordPage(g, common::crc32c(src, ps), epoch, run_id,
+                            static_cast<std::uint32_t>(stored));
+            if constexpr (kCompress) {
+                region_.noteCompressedShip(stored, ps);
+                if (stored != 0) {
+                    flush_raw();
+                    if (const int error = pwriteFullyWithRetry(
+                            region_.fd_, scratch, stored, g * ps);
+                        error != 0)
+                        fatal("compressed run persist to backing file "
+                              "failed after bounded retries: ",
+                              std::strerror(error));
+                    meta.markWritten(g, run_id);
+                    continue;
+                }
             }
             if (raw_n == 0)
                 raw_first = g;
-            iov[raw_n].iov_base = region_.mem_ + g * ps;
+            iov[raw_n].iov_base = src;
             iov[raw_n].iov_len = ps;
             if (++raw_n == kChunk)
                 flush_raw();

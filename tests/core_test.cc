@@ -425,10 +425,11 @@ class MockBackend : public PagingBackend
     }
 
     void
-    persistPageAsync(PageNum p) override
+    persistRunAsync(PageNum first, unsigned count) override
     {
-        pending.push_back(p);
-        ++persistCount;
+        for (unsigned i = 0; i < count; ++i)
+            pending.push_back(first + i);
+        persistCount += count;
     }
 
     void
@@ -647,13 +648,27 @@ TEST(ControllerTest, GrowBudgetAllowsMoreDirty)
 
 TEST(ControllerTest, FlushAllDirtyEmptiesTracker)
 {
-    MockBackend backend(32);
-    DirtyBudgetController ctl(backend, smallConfig(16));
-    for (PageNum p = 0; p < 10; ++p)
-        ctl.onWriteFault(p);
-    const std::uint64_t flushed = ctl.flushAllDirty();
-    EXPECT_EQ(flushed, 10u);
-    EXPECT_EQ(ctl.tracker().count(), 0u);
+    // Run cap 1 writes page by page; cap 4 batches the ten adjacent
+    // pages into runs that reach the backend's persistRunAsync.
+    for (const unsigned run_cap : {1u, 4u}) {
+        SCOPED_TRACE(run_cap);
+        MockBackend backend(32);
+        ViyojitConfig cfg = smallConfig(16);
+        cfg.maxRunPages = run_cap;
+        DirtyBudgetController ctl(backend, cfg);
+        for (PageNum p = 0; p < 10; ++p)
+            ctl.onWriteFault(p);
+        const std::uint64_t flushed = ctl.flushAllDirty();
+        EXPECT_EQ(flushed, 10u);
+        EXPECT_EQ(ctl.tracker().count(), 0u);
+        EXPECT_EQ(backend.persistCount, 10u);
+        if (run_cap == 1) {
+            EXPECT_EQ(ctl.stats().runSubmits, 0u);
+        } else {
+            EXPECT_GT(ctl.stats().runSubmits, 0u);
+            EXPECT_EQ(ctl.stats().runPagesCoalesced, 10u);
+        }
+    }
 }
 
 TEST(ControllerTest, FlushPageBlockingSinglePage)
@@ -669,17 +684,38 @@ TEST(ControllerTest, FlushPageBlockingSinglePage)
     EXPECT_EQ(backend.blockingCount, 1u);
 }
 
-/** Property sweep: budget invariant holds across budgets and skews. */
+/**
+ * Property sweep: budget invariant holds across budgets, skews and
+ * run caps.  The run cap is the third axis, one test body per value,
+ * so the one-page points keep their (budget, theta) names; at cap 4
+ * randomized admits and completions interleave with the staging
+ * window.
+ */
 class BudgetSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>>
 {
+  protected:
+    void sweep(unsigned run_cap);
 };
 
 TEST_P(BudgetSweep, DirtyCountNeverExceedsBudget)
 {
+    sweep(1);
+}
+
+TEST_P(BudgetSweep, DirtyCountNeverExceedsBudgetWithRuns)
+{
+    sweep(4);
+}
+
+void
+BudgetSweep::sweep(unsigned run_cap)
+{
     const auto [budget, theta] = GetParam();
     MockBackend backend(256);
-    DirtyBudgetController ctl(backend, smallConfig(budget));
+    ViyojitConfig cfg = smallConfig(budget);
+    cfg.maxRunPages = run_cap;
+    DirtyBudgetController ctl(backend, cfg);
     Rng rng(7);
     ZipfianDistribution dist(256, theta);
     for (int i = 0; i < 3000; ++i) {

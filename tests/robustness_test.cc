@@ -46,9 +46,10 @@ class LimitedBackend : public PagingBackend
     }
 
     void
-    persistPageAsync(PageNum p) override
+    persistRunAsync(PageNum first, unsigned count) override
     {
-        pending.push_back(p);
+        for (unsigned i = 0; i < count; ++i)
+            pending.push_back(first + i);
     }
 
     void persistPageBlocking(PageNum) override { ++blockingWrites; }
