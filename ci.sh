@@ -35,6 +35,15 @@
 # subshell, so its first failing command ends that stage only.  The
 # script then exits 1 naming every failed stage.
 #
+# NvRegion write-protects through userfaultfd where the kernel grants
+# it and falls back to mprotect where it does not.  ctest registers
+# runtime_test, concurrency_test and runtime_kvstore_test a second
+# time (`<suite>_no_userfaultfd`) under tests/no_userfaultfd, a
+# launcher whose seccomp filter fails userfaultfd(2) with EPERM, so
+# the release and sanitize configurations cover both primitives; the
+# TSan pass runs its runtime_test and concurrency_test under the
+# launcher as well.
+#
 # The release and sanitize configurations run the full ctest suite;
 # the sanitizer pass is what catches the bit-twiddling mistakes the
 # fast epoch paths invite (summary-mask indexing, shift widths,
@@ -295,12 +304,18 @@ stage_tsan() {
     cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
           -DVIYOJIT_SANITIZE=thread
     cmake --build build-tsan -j "${JOBS}" \
-          --target concurrency_test torture_test runtime_test
+          --target concurrency_test torture_test runtime_test no_userfaultfd
     local suite
     for suite in concurrency_test torture_test runtime_test; do
         echo "--- TSan: ${suite} ---"
         TSAN_OPTIONS="report_signal_unsafe=0 halt_on_error=0 exitcode=66" \
             "./build-tsan/tests/${suite}"
+    done
+    # The mprotect fallback, with userfaultfd refused.
+    for suite in concurrency_test runtime_test; do
+        echo "--- TSan: ${suite} (no userfaultfd) ---"
+        TSAN_OPTIONS="report_signal_unsafe=0 halt_on_error=0 exitcode=66" \
+            ./build-tsan/tests/no_userfaultfd "./build-tsan/tests/${suite}"
     done
 }
 

@@ -155,37 +155,50 @@ DirtyBudgetController::makeRoomForAdmission(bool allow_evict)
 bool
 DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
 {
-    if (copyState_[page] != kIdle) {
-        // The page is being copied out; its frame is write-protected
-        // until the copy is durable (the protect-before-copy rule of
-        // section 5.1).  Block until the copy completes, after which
-        // the page is clean and we admit the write below.  It may be
-        // sitting in the staged run, where no IO exists to wait on
-        // yet; submit the run first.
-        if (isStaged(page))
-            flushPendingRun();
-        ++stats_.inFlightWaits;
-        backend_.waitForPersist(page);
-        VIYOJIT_ASSERT(copyState_[page] == kIdle,
-                       "wait did not complete copy");
-    }
+    for (;;) {
+        if (copyState_[page] != kIdle) {
+            // The page is being copied out; its frame is
+            // write-protected until the copy is durable (the
+            // protect-before-copy rule of section 5.1).  Block until
+            // the copy completes, after which the page is clean and
+            // we admit the write below.  It may be sitting in the
+            // staged run, where no IO exists to wait on yet; submit
+            // the run first.
+            if (isStaged(page))
+                flushPendingRun();
+            ++stats_.inFlightWaits;
+            backend_.waitForPersist(page);
+            VIYOJIT_ASSERT(copyState_[page] == kIdle,
+                           "wait did not complete copy");
+        }
 
-    if (tracker_.isDirty(page)) {
-        // Dirty but protected: the substrate re-protected the page
-        // (the runtime's epoch re-protection does this to sample
-        // recency).  Record the update and allow the write; the page
-        // is already accounted against the budget.
-        ++stats_.writeFaults;
-        recency_.recordUpdate(page);
-        backend_.unprotectPage(page);
-        return true;
-    }
+        if (tracker_.isDirty(page)) {
+            // Dirty but protected: the substrate re-protected the
+            // page (the runtime's epoch re-protection does this to
+            // sample recency).  Record the update and allow the
+            // write; the page is already accounted against the
+            // budget.
+            ++stats_.writeFaults;
+            recency_.recordUpdate(page);
+            backend_.unprotectPage(page);
+            return true;
+        }
 
-    // Admitting a new dirty page; make room first (fig. 6 steps 5-7).
-    // A quota-starved shard reports failure *before* counting the
-    // fault, so the caller's steal-and-retry shows up as one fault.
-    if (!makeRoomForAdmission(allow_evict))
-        return false;
+        // Admitting a new dirty page; make room first (fig. 6 steps
+        // 5-7).  A quota-starved shard reports failure *before*
+        // counting the fault, so the caller's steal-and-retry shows
+        // up as one fault.
+        if (!makeRoomForAdmission(allow_evict))
+            return false;
+        // Making room can wait for a copy to land, and the runtime
+        // releases the shard lock while it waits: another thread may
+        // have admitted this page meanwhile, and a copy of it may
+        // have started.  Releasing the page then would let this
+        // write slip past that copy, which would mark the page clean
+        // while it stays writable, losing the write.  Start over.
+        if (!tracker_.isDirty(page))
+            break;
+    }
     ++stats_.writeFaults;
 
     // Fig. 6 step 8: unprotect, count, and list the faulting page.

@@ -1,5 +1,7 @@
 #include "runtime/fault_dispatch.hh"
 
+#include <ucontext.h>
+
 #include <atomic>
 #include <csignal>
 #include <cstdint>
@@ -18,7 +20,7 @@ namespace
 /**
  * Lock-free region registry.
  *
- * The SIGSEGV handler must read the registry without taking a lock
+ * The fault handler must read the registry without taking a lock
  * (the faulting thread may be anywhere, including inside a region's
  * own locks), so entries live in a fixed array of atomics.  Writers
  * serialize on registryLock; the handler publishes/consumes with
@@ -47,6 +49,7 @@ RegionEntry registry[maxRegions];
 std::atomic<unsigned> registryHigh{0};
 
 /**
+ * The actions the handler replaced, one per signal it serves.
  * Written once under registryLock (installHandler) before the first
  * region is live, then read lock-free by the handler.  GUARDED_BY
  * covers every writer; the handler's read is the one deliberate
@@ -54,7 +57,8 @@ std::atomic<unsigned> registryHigh{0};
  * safe because installation strictly precedes any dispatchable
  * fault.
  */
-struct sigaction previousAction GUARDED_BY(registryLock);
+struct sigaction previousSegv GUARDED_BY(registryLock);
+struct sigaction previousBus GUARDED_BY(registryLock);
 bool handlerInstalled GUARDED_BY(registryLock) = false;
 
 /**
@@ -90,6 +94,28 @@ struct FaultStack
 thread_local FaultStack faultStack;
 
 /**
+ * Whether the faulting access was a write: bit 1 of the x86-64
+ * page-fault error code.  Only userfaultfd regions ask, and they
+ * exist only on x86-64; under mprotect every fault in a region is a
+ * write.
+ */
+bool
+faultIsWrite(const void *ucontext)
+{
+#if defined(__x86_64__)
+    const auto *uc = static_cast<const ucontext_t *>(ucontext);
+    return (uc->uc_mcontext.gregs[REG_ERR] & 2) != 0;
+#else
+    (void)ucontext;
+    return true;
+#endif
+}
+
+/**
+ * The one fault handler, for SIGSEGV (mprotect regions) and SIGBUS
+ * (userfaultfd regions, which report BUS_ADRERR with the exact
+ * address).
+ *
  * Async-signal context: must not take registryLock (the faulting
  * thread may already hold it, or any other lock) and must not
  * allocate — the registry is a fixed array of atomics for exactly
@@ -102,9 +128,12 @@ segvHandler(int signo, siginfo_t *info,
             void *ucontext) NO_THREAD_SAFETY_ANALYSIS
 {
     const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+    // Any other SIGBUS (a hardware memory error) is not ours: admitting
+    // the page would retry the access forever.
+    const bool ours = signo == SIGSEGV || info->si_code == BUS_ADRERR;
 
     const unsigned high =
-        registryHigh.load(std::memory_order_acquire);
+        ours ? registryHigh.load(std::memory_order_acquire) : 0;
     for (unsigned i = 0; i < high; ++i) {
         NvRegion *region =
             registry[i].region.load(std::memory_order_acquire);
@@ -115,26 +144,29 @@ segvHandler(int signo, siginfo_t *info,
         const std::uintptr_t end =
             registry[i].end.load(std::memory_order_relaxed);
         if (addr >= begin && addr < end) {
-            if (region->handleFault(info->si_addr))
+            if (region->handleFault(info->si_addr,
+                                    faultIsWrite(ucontext)))
                 return;
         }
     }
 
-    // Not ours: restore and re-raise so the default disposition (or a
-    // pre-existing handler) runs.
-    if (previousAction.sa_flags & SA_SIGINFO) {
-        if (previousAction.sa_sigaction) {
-            previousAction.sa_sigaction(signo, info, ucontext);
+    // Not ours: chain to this signal's previous action, or restore
+    // the default and re-raise, so genuine faults still crash.
+    const struct sigaction &previous =
+        signo == SIGBUS ? previousBus : previousSegv;
+    if (previous.sa_flags & SA_SIGINFO) {
+        if (previous.sa_sigaction) {
+            previous.sa_sigaction(signo, info, ucontext);
             return;
         }
-    } else if (previousAction.sa_handler != SIG_DFL &&
-               previousAction.sa_handler != SIG_IGN &&
-               previousAction.sa_handler != nullptr) {
-        previousAction.sa_handler(signo);
+    } else if (previous.sa_handler != SIG_DFL &&
+               previous.sa_handler != SIG_IGN &&
+               previous.sa_handler != nullptr) {
+        previous.sa_handler(signo);
         return;
     }
-    signal(SIGSEGV, SIG_DFL);
-    raise(SIGSEGV);
+    signal(signo, SIG_DFL);
+    raise(signo);
 }
 
 void
@@ -148,8 +180,9 @@ installHandler() REQUIRES(registryLock)
     // to request unconditionally.
     action.sa_flags = SA_SIGINFO | SA_ONSTACK;
     sigemptyset(&action.sa_mask);
-    if (sigaction(SIGSEGV, &action, &previousAction) != 0)
-        panic("failed to install SIGSEGV handler");
+    if (sigaction(SIGSEGV, &action, &previousSegv) != 0 ||
+        sigaction(SIGBUS, &action, &previousBus) != 0)
+        panic("failed to install the fault handler");
     handlerInstalled = true;
 }
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Process-wide SIGSEGV dispatch for NvRegion write faults.
+ * Process-wide SIGSEGV and SIGBUS dispatch for NvRegion faults.
  *
- * The handler routes faults whose address falls inside a registered
- * region to that region; anything else is re-raised with the default
- * disposition so genuine crashes still crash.
+ * One handler serves both signals: mprotect regions fault with
+ * SIGSEGV, userfaultfd regions with SIGBUS.  It routes faults whose
+ * address falls inside a registered region to that region; anything
+ * else goes to the signal's previous action, or is re-raised with the
+ * default disposition, so genuine crashes still crash.
  */
 
 #ifndef VIYOJIT_RUNTIME_FAULT_DISPATCH_HH
@@ -45,7 +47,7 @@ inline constexpr unsigned long long kFaultStackBytes = 64ULL * 1024;
  */
 void ensureFaultStackForThisThread();
 
-/** Install the SIGSEGV handler (idempotent) and add a region. */
+/** Install the fault handler (idempotent) and add a region. */
 void registerRegion(NvRegion *region, void *base,
                     unsigned long long bytes);
 

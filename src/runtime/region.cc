@@ -16,6 +16,7 @@
 #include <cstring>
 #include <mutex>
 #include <unordered_set>
+#include <utility>
 
 #include "common/checksum.hh"
 #include "common/logging.hh"
@@ -24,7 +25,17 @@
 #include "runtime/fault_dispatch.hh"
 #include "runtime/meta_sidecar.hh"
 
-// ThreadSanitizer cannot see mprotect ordering: a page is always
+// userfaultfd write protection tells reads from writes by the x86-64
+// page-fault error code (fault_dispatch.cc), so other builds use
+// mprotect alone.
+#if defined(__x86_64__) && __has_include(<linux/userfaultfd.h>)
+#define VIYOJIT_UFFD 1
+#include <linux/userfaultfd.h>
+#include <sys/ioctl.h>
+#include <sys/syscall.h>
+#endif
+
+// ThreadSanitizer cannot see write-protect ordering: a page is always
 // write-protected before its image is read for persistence (the
 // protect-before-copy rule), so the copier's read of page contents
 // can never race an application store — but the synchronization runs
@@ -53,18 +64,34 @@ extern "C" void AnnotateIgnoreReadsEnd(const char *, int);
 namespace viyojit::runtime
 {
 
+namespace
+{
+
+/**
+ * Run `op`, a system call returning 0 or -1 with errno, retrying
+ * EINTR/EAGAIN up to `attempts` times.  Returns 0 or the last errno.
+ */
+template <typename Op>
 int
-fdatasyncWithRetry(int fd, unsigned attempts)
+retryInterrupted(Op op, unsigned attempts = 8)
 {
     int error = 0;
     for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-        if (::fdatasync(fd) == 0)
+        if (op() == 0)
             return 0;
         error = errno;
         if (error != EINTR && error != EAGAIN)
             return error;
     }
     return error;
+}
+
+} // namespace
+
+int
+fdatasyncWithRetry(int fd, unsigned attempts)
+{
+    return retryInterrupted([fd]() { return ::fdatasync(fd); }, attempts);
 }
 
 int
@@ -161,11 +188,37 @@ preadFullyWithRetry(int fd, void *buf, std::uint64_t len,
     return 0;
 }
 
+namespace
+{
+
+/** The kernel refused a protection change the fault path needs: the
+ *  region can no longer track writes. */
+[[noreturn]] void
+protectionFailed(const char *what, int error)
+{
+    panic(what, " failed: ", std::strerror(error));
+}
+
+#ifdef VIYOJIT_UFFD
+/** The source of every userfaultfd page install: one zeroed x86-64
+ *  base page. */
+alignas(4096) const char kZeroPage[4096] = {};
+#endif
+
+/** Global pages [first, first + pages). */
+struct PageSpan
+{
+    PageNum first = 0;
+    std::uint64_t pages = 0;
+};
+
+} // namespace
+
 /**
  * One page-space shard: a contiguous block of pages with its own
  * controller, writable bitmaps, lock, and IO completion variable.
  * Page numbers inside the backend and controller are SHARD-LOCAL
- * (0 .. pages-1); only mprotect/pwrite translate to global.
+ * (0 .. pages-1); only protection and pwrite translate to global.
  */
 struct NvRegion::Shard
 {
@@ -213,7 +266,8 @@ struct NvRegion::Shard
 };
 
 /**
- * PagingBackend over mprotect and a slice of the backing file.
+ * PagingBackend over the region's write protection and a slice of
+ * the backing file.
  *
  * With no copier pool, page copies are performed inline (pwritev) —
  * the "async" interface degenerates to immediate completion.  With
@@ -252,14 +306,18 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     void
     protectPage(PageNum page) REQUIRES(shard_.lock) override
     {
-        mprotectRange(page, 1, PROT_READ);
+        region_.protectRange(shard_.firstPage + page, 1, false);
         setWritableBit(page, false);
     }
 
     void
     unprotectPage(PageNum page) REQUIRES(shard_.lock) override
     {
-        mprotectRange(page, 1, PROT_READ | PROT_WRITE);
+        // A never-populated page is mapped writable in place; a
+        // none-to-present install needs no TLB shootdown.
+        const PageNum global = shard_.firstPage + page;
+        if (!region_.mapZeroed(global, true))
+            region_.protectRange(global, 1, true);
         setWritableBit(page, true);
     }
 
@@ -271,15 +329,11 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         // Userspace dirty-bit emulation: every epoch re-protects the
         // writable (== written-this-epoch) pages, so the next write
         // faults and refreshes recency.  `flush_tlb` is implicit in
-        // mprotect (the kernel shoots down stale TLB entries).
+        // the re-protect (the kernel shoots down stale TLB entries).
         (void)flush_tlb;
         // Two-level bitmap walk: only words (and summary words) with
         // a writable page in them are touched, so a mostly-clean
-        // shard scans in O(dirty), not O(pages).  One mprotect covers
-        // first..last writable page (the rest of that span is already
-        // read-only: under the shard lock the bitmap is exactly the
-        // read-write set), so the mm write lock and the TLB shootdown
-        // are paid once per tick, not once per run of written pages.
+        // shard scans in O(dirty), not O(pages).
         PageNum span_start = invalidPage;
         PageNum span_end = 0;
         for (std::uint64_t s = 0; s < summary_.size(); ++s) {
@@ -306,8 +360,26 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                 }
             }
         }
-        if (span_start != invalidPage)
-            mprotectRange(span_start, span_end - span_start, PROT_READ);
+        if (span_start == invalidPage)
+            return;
+        // One call covers first..last writable page (the rest of that
+        // span is already read-only: under the shard lock the bitmap
+        // is exactly the read-write set), so the kernel's per-call
+        // cost is paid once per tick, not once per run of written
+        // pages.  Protecting only adds protection, so epochTick()
+        // issues it once the shard lock is released.
+        reprotect_ = {shard_.firstPage + span_start,
+                      span_end - span_start};
+    }
+
+    /**
+     * Hand over, and forget, the span the last boundary scan left for
+     * epochTick() to re-protect after the shard lock.
+     */
+    PageSpan
+    takeReprotect() REQUIRES(shard_.lock)
+    {
+        return std::exchange(reprotect_, PageSpan{});
     }
 
     /**
@@ -540,21 +612,13 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         }
     }
 
-    void
-    mprotectRange(PageNum first, std::uint64_t pages, int prot)
-    {
-        if (pages == 0)
-            return;
-        const std::uint64_t ps = region_.pageSize_;
-        char *base = region_.mem_ + (shard_.firstPage + first) * ps;
-        if (::mprotect(base, pages * ps, prot) != 0)
-            panic("mprotect failed: ", std::strerror(errno));
-    }
-
     NvRegion &region_;
     Shard &shard_;
     std::vector<std::uint64_t> writableWords_ GUARDED_BY(shard_.lock);
     std::vector<std::uint64_t> summary_ GUARDED_BY(shard_.lock);
+
+    /** The written span awaiting its re-protect. */
+    PageSpan reprotect_ GUARDED_BY(shard_.lock);
 
     /** Nonzero while a background copy of the page is queued. */
     std::vector<std::uint8_t> ioPending_ GUARDED_BY(shard_.lock);
@@ -605,6 +669,8 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
             unregisterRegion(&region);
             if (region.mem_ != nullptr)
                 ::munmap(region.mem_, region.bytes_);
+            if (region.uffd_ >= 0)
+                ::close(region.uffd_);
             ::close(region.fd_);
             if (created) {
                 ::unlink(backing.c_str());
@@ -662,8 +728,9 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         }
     }
 
-    // Fig. 6 step 1: everything starts write-protected and clean.
-    if (::mprotect(mem_, bytes_, PROT_READ) != 0)
+    // Fig. 6 step 1: everything starts write-protected and clean,
+    // through userfaultfd wherever the kernel grants it.
+    if (!armUserfaultfd() && ::mprotect(mem_, bytes_, PROT_READ) != 0)
         fatal("initial mprotect failed: ", std::strerror(errno));
 
     // Shard plan: the page space splits into power-of-two-sized
@@ -799,8 +866,108 @@ NvRegion::~NvRegion()
     unregisterRegion(this);
     if (mem_)
         ::munmap(mem_, bytes_);
+    // After the unmap, so closing does not first clear the
+    // write-protect bit of every mapped page.
+    if (uffd_ >= 0)
+        ::close(uffd_);
     if (fd_ >= 0)
         ::close(fd_);
+}
+
+bool
+NvRegion::armUserfaultfd()
+{
+#ifdef VIYOJIT_UFFD
+    if (pageSize_ != sizeof(kZeroPage))
+        return false;
+    // UFFD_USER_MODE_ONLY lets an unprivileged process open one even
+    // where vm.unprivileged_userfaultfd is 0; kernel-mode accesses
+    // then get EFAULT instead of a fault signal.
+    const int fd = static_cast<int>(::syscall(
+        __NR_userfaultfd, O_CLOEXEC | O_NONBLOCK | UFFD_USER_MODE_ONLY));
+    if (fd < 0)
+        return false;
+    struct uffdio_api api = {};
+    api.api = UFFD_API;
+    api.features = UFFD_FEATURE_SIGBUS;
+    struct uffdio_register reg = {};
+    reg.range.start = reinterpret_cast<std::uintptr_t>(mem_);
+    reg.range.len = bytes_;
+    // Never-populated pages have no PTE to carry a write-protect
+    // bit, so they arrive as missing-page faults.
+    reg.mode = UFFDIO_REGISTER_MODE_MISSING | UFFDIO_REGISTER_MODE_WP;
+    struct uffdio_writeprotect wp = {};
+    wp.range = reg.range;
+    wp.mode = UFFDIO_WRITEPROTECT_MODE_WP;
+    if (::ioctl(fd, UFFDIO_API, &api) != 0 ||
+        ::ioctl(fd, UFFDIO_REGISTER, &reg) != 0 ||
+        ::ioctl(fd, UFFDIO_WRITEPROTECT, &wp) != 0) {
+        // Closing the descriptor unregisters the range.
+        ::close(fd);
+        return false;
+    }
+    uffd_ = fd;
+    populated_ = std::vector<std::atomic<std::uint8_t>>(pageCount_);
+    return true;
+#else
+    return false;
+#endif
+}
+
+void
+NvRegion::protectRange(PageNum first, std::uint64_t pages, bool writable)
+{
+    if (pages == 0)
+        return;
+    char *const base = mem_ + first * pageSize_;
+    const std::uint64_t len = pages * pageSize_;
+    const int error = retryInterrupted([&]() {
+#ifdef VIYOJIT_UFFD
+        if (uffd_ >= 0) {
+            struct uffdio_writeprotect wp = {};
+            wp.range.start = reinterpret_cast<std::uintptr_t>(base);
+            wp.range.len = len;
+            // Faults arrive as SIGBUS, so no thread waits on the
+            // descriptor for a release to wake.
+            wp.mode = writable ? UFFDIO_WRITEPROTECT_MODE_DONTWAKE
+                               : UFFDIO_WRITEPROTECT_MODE_WP;
+            return ::ioctl(uffd_, UFFDIO_WRITEPROTECT, &wp);
+        }
+#endif
+        return ::mprotect(base, len,
+                          writable ? PROT_READ | PROT_WRITE : PROT_READ);
+    });
+    if (error != 0)
+        protectionFailed(uffd_ >= 0 ? "userfaultfd write-protect"
+                                    : "mprotect",
+                         error);
+}
+
+bool
+NvRegion::mapZeroed(PageNum page, bool writable)
+{
+#ifdef VIYOJIT_UFFD
+    if (uffd_ < 0 || populated_[page].load(std::memory_order_relaxed))
+        return false;
+    struct uffdio_copy copy = {};
+    copy.dst = reinterpret_cast<std::uintptr_t>(mem_ + page * pageSize_);
+    copy.src = reinterpret_cast<std::uintptr_t>(kZeroPage);
+    copy.len = pageSize_;
+    copy.mode = UFFDIO_COPY_MODE_DONTWAKE |
+                (writable ? 0 : UFFDIO_COPY_MODE_WP);
+    const int error = retryInterrupted(
+        [&]() { return ::ioctl(uffd_, UFFDIO_COPY, &copy); });
+    // EEXIST: the page is mapped already — recover() loaded it, or a
+    // racing fault mapped it first.
+    if (error != 0 && error != EEXIST)
+        protectionFailed("userfaultfd page install", error);
+    populated_[page].store(1, std::memory_order_relaxed);
+    return error == 0;
+#else
+    (void)page;
+    (void)writable;
+    return false;
+#endif
 }
 
 namespace
@@ -853,13 +1020,20 @@ constexpr unsigned kBackoffLadder = 16;
 } // namespace
 
 bool
-NvRegion::handleFault(void *addr)
+NvRegion::handleFault(void *addr, bool write)
 {
     const auto a = reinterpret_cast<std::uintptr_t>(addr);
     const auto base = reinterpret_cast<std::uintptr_t>(mem_);
     if (a < base || a >= base + bytes_)
         return false;
     const PageNum page = (a - base) / pageSize_;
+    if (!write && uffd_ >= 0) {
+        // A first read of a never-populated page: map it zeroed and
+        // still write-protected, without admitting it, so reads never
+        // dirty a page.
+        mapZeroed(page, false);
+        return true;
+    }
     Shard &shard = *shards_[shardOf(page)];
     const PageNum local = page - shard.firstPage;
     // Pooled shards first try to admit WITHOUT evicting: spare quota
@@ -948,8 +1122,19 @@ void
 NvRegion::epochTick()
 {
     for (auto &shard : shards_) {
-        common::MutexLock guard(shard->lock);
-        shard->controller->onEpochBoundary();
+        PageSpan reprotect;
+        {
+            common::MutexLock guard(shard->lock);
+            shard->controller->onEpochBoundary();
+            reprotect = shard->backend->takeReprotect();
+        }
+        // The re-protect runs after the guard has closed, so faults
+        // stop waiting out its page-table walk.  It only adds
+        // protection, and the only release is the fault path's, under
+        // the shard lock, so protect-before-copy and the budget
+        // invariant hold.  A page written between the bitmap clear
+        // and this call takes one extra recency fault.
+        protectRange(reprotect.first, reprotect.pages, false);
     }
     flushEpoch_.fetch_add(1, std::memory_order_relaxed);
 }

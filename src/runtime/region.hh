@@ -4,7 +4,8 @@
  * library, section 5), sharded for multi-threaded applications.
  *
  * An NvRegion is an mmap'd area whose pages start write-protected;
- * SIGSEGV delivers first writes to the same DirtyBudgetController the
+ * a fault signal (SIGBUS under userfaultfd, SIGSEGV under mprotect)
+ * delivers first writes to the same DirtyBudgetController the
  * simulator uses; a background epoch thread samples update recency;
  * pages are persisted to a backing file with pwritev/fdatasync, each
  * under a CRC32C commit record in the `<backing>.meta` sidecar that
@@ -22,25 +23,42 @@
  * budget of earlier persists (DESIGN.md §10), and the fault path
  * never reaches an fdatasync.
  *
- * Substitution note: the paper reads and clears hardware PTE dirty
- * bits through a kernel module.  Userspace cannot do that portably,
- * so the epoch scan re-write-protects dirty pages instead — a page
- * that faults again before the next scan was "dirty" in that epoch.
- * This preserves the recency signal exactly, at the cost of one
- * extra fault per page per epoch of activity, which is the overhead
- * the paper's MMU discussion (section 5.4) also attributes to
- * software-only implementations.  The re-protection is one mprotect
- * per shard per epoch, over the span from the shard's first to its
- * last writable page (DESIGN.md §6), so the mm write lock and the
- * TLB shootdown are paid once per shard, not once per run of pages.
+ * Substitution note: the paper write-protects PTEs and reads and
+ * clears their dirty bits through a kernel module.  Userspace cannot
+ * do that portably.  Where the kernel grants it, the region
+ * write-protects through userfaultfd: protection is the PTE's uffd-wp
+ * bit, the region stays one mapping, and with UFFD_FEATURE_SIGBUS a
+ * fault arrives as SIGBUS on the faulting thread, so no handler
+ * thread is needed.  Where userfaultfd is refused (seccomp, an old
+ * kernel, a non-x86-64 build) the region uses mprotect(PROT_READ),
+ * and each protection change splits or merges the mapping under the
+ * mm write lock.  protection() names the primitive in use.  Either
+ * way the epoch scan re-write-protects dirty pages instead of
+ * clearing dirty bits — a page that faults again before the next
+ * scan was "dirty" in that epoch.  This preserves the recency signal
+ * exactly, at the cost of one extra fault per page per epoch of
+ * activity, which is the overhead the paper's MMU discussion
+ * (section 5.4) also attributes to software-only implementations.
+ * The re-protection is one call per shard per epoch, over the span
+ * from the shard's first to its last written page, made after the
+ * shard lock is released (DESIGN.md §6).
+ *
+ * A never-written page of a userfaultfd region has no PTE: its first
+ * access is a missing-page fault.  A first write is admitted and
+ * maps a zeroed writable page; a first read maps a zeroed
+ * write-protected page without admitting it.  A system call that
+ * reads such a page before the application touched it (write(fd, p,
+ * n)) therefore fails with EFAULT, where mprotect gave it zeros.
  *
  * Sharding.  The page space is split into power-of-two-sized
  * contiguous blocks; each shard owns a block with its own controller
  * (dirty tracker, recency buckets, victim selection), its own
  * writable bitmaps, and its own mutex, so threads writing different
- * shards fault, admit, and persist fully in parallel.  The battery's
- * single dirty budget is held in a core::BudgetPool: shards carry a
- * local quota and borrow/return batches through lock-free pool
+ * shards fault, admit, and persist fully in parallel.  An epoch tick
+ * holds each shard lock only to fold its written pages into recency
+ * and re-protects them after releasing it.  The battery's single
+ * dirty budget is held in a core::BudgetPool: shards carry a local
+ * quota and borrow/return batches through lock-free pool
  * operations, so the durability invariant — summed dirty pages never
  * exceed the battery budget — holds at every instant while the fault
  * fast path touches only its shard's lock.  `shards = 1` (the
@@ -378,6 +396,18 @@ struct RuntimeRecoveryReport
     std::vector<PageNum> quarantined;
 };
 
+/** How a region write-protects its pages (NvRegion::protection()). */
+enum class Protection
+{
+    /** The PTE's userfaultfd write-protect bit; faults arrive as
+     *  SIGBUS and the region stays one mapping. */
+    userfaultfd,
+
+    /** mprotect(PROT_READ); faults arrive as SIGSEGV.  The fallback
+     *  where the kernel refuses userfaultfd. */
+    mprotect,
+};
+
 /** A battery-bounded non-volatile memory region over real pages. */
 class NvRegion
 {
@@ -447,8 +477,20 @@ class NvRegion
      */
     RegionStats stats() const;
 
-    /** Handle a fault at `addr` if it belongs to this region. */
-    bool handleFault(void *addr);
+    /** The write-protection primitive create()/recover() chose. */
+    Protection protection() const
+    {
+        return uffd_ >= 0 ? Protection::userfaultfd
+                          : Protection::mprotect;
+    }
+
+    /**
+     * Handle a fault at `addr` if it belongs to this region.  `write`
+     * says whether the access was a write; a read faults only on a
+     * never-populated page of a userfaultfd region, which is then
+     * mapped without being admitted.
+     */
+    bool handleFault(void *addr, bool write);
 
     /** What recover() found (empty report for create()). */
     const RuntimeRecoveryReport &recoveryReport() const
@@ -477,6 +519,32 @@ class NvRegion
 
     void startEpochThread();
     void stopEpochThread();
+
+    /**
+     * Write-protect the whole region through userfaultfd: open a
+     * descriptor with SIGBUS delivery, register the region for
+     * missing-page and write-protect faults, and protect every mapped
+     * page.  Returns false, with nothing left registered, if any step
+     * is refused; the caller then falls back to mprotect.
+     */
+    bool armUserfaultfd();
+
+    /**
+     * Write-protect (`writable` false) or release global pages
+     * [first, first + pages) through the region's primitive, with
+     * bounded EINTR/EAGAIN retry; panics on any other failure.
+     * Releasing never maps a page: see mapZeroed().
+     */
+    void protectRange(PageNum first, std::uint64_t pages,
+                      bool writable);
+
+    /**
+     * Map a zeroed page at global `page` if it was never populated
+     * (userfaultfd only; lock-free).  Returns true if this call
+     * mapped it, writable or write-protected as asked; false under
+     * mprotect, or if the page was already mapped.
+     */
+    bool mapZeroed(PageNum page, bool writable);
 
     /**
      * Body of the write-behind thread: every epochMicros, run a
@@ -540,6 +608,15 @@ class NvRegion
     std::uint64_t bytes_;
     char *mem_ = nullptr;
     int fd_ = -1;
+
+    /** userfaultfd descriptor; -1 on the mprotect fallback.  Set in
+     *  the constructor before any fault can reach the region. */
+    int uffd_ = -1;
+
+    /** Per page, nonzero once mapped under userfaultfd (by mapZeroed
+     *  or found mapped); empty under mprotect.  Relaxed atomics: a
+     *  stale zero costs one mapping attempt that finds the page. */
+    std::vector<std::atomic<std::uint8_t>> populated_;
 
     /** log2 of pages per shard (shard index = page >> ppsShift_). */
     unsigned ppsShift_ = 0;

@@ -1,6 +1,8 @@
 /**
  * @file
- * Tests for the real-memory runtime: mprotect faults, budget
+ * Tests for the real-memory runtime: write-protect faults (through
+ * userfaultfd where the kernel grants it, else mprotect; ctest runs
+ * the suite a second time with userfaultfd refused), budget
  * enforcement on live pages, epoch recency, flush durability, and
  * crash/recovery round trips through the backing file.
  */
@@ -8,9 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/ioctl.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <sys/uio.h>
 #include <unistd.h>
+
+#if defined(__x86_64__) && __has_include(<linux/userfaultfd.h>)
+#define VIYOJIT_TEST_UFFD 1
+#include <linux/userfaultfd.h>
+#endif
 
 #include <algorithm>
 #include <array>
@@ -50,14 +59,15 @@ manualConfig(std::uint64_t budget)
     return cfg;
 }
 
-/** Writable lines of /proc/self/maps that overlap [base, base+bytes). */
+/** Lines of /proc/self/maps that overlap [base, base+bytes), or only
+ *  the writable ones. */
 std::size_t
-writableMappings(const void *base, std::uint64_t bytes)
+mappings(const void *base, std::uint64_t bytes, bool writable_only)
 {
     const auto lo = reinterpret_cast<std::uintptr_t>(base);
     const std::uintptr_t hi = lo + bytes;
     std::ifstream maps("/proc/self/maps");
-    std::size_t writable = 0;
+    std::size_t count = 0;
     std::string line;
     while (std::getline(maps, line)) {
         std::uintptr_t start = 0;
@@ -65,10 +75,48 @@ writableMappings(const void *base, std::uint64_t bytes)
         char perms[5] = {};
         if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " %4s",
                         &start, &end, perms) == 3 &&
-            start < hi && end > lo && perms[1] == 'w')
-            ++writable;
+            start < hi && end > lo && (!writable_only || perms[1] == 'w'))
+            ++count;
     }
-    return writable;
+    return count;
+}
+
+/** Bit 57 of the page's /proc/self/pagemap entry: its PTE carries the
+ *  userfaultfd write-protect bit. */
+bool
+uffdWriteProtected(const void *addr)
+{
+    const auto page = reinterpret_cast<std::uintptr_t>(addr) /
+                      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const int fd = ::open("/proc/self/pagemap", O_RDONLY);
+    EXPECT_GE(fd, 0) << std::strerror(errno);
+    std::uint64_t entry = 0;
+    EXPECT_EQ(::pread(fd, &entry, sizeof(entry),
+                      static_cast<off_t>(page * sizeof(entry))),
+              static_cast<ssize_t>(sizeof(entry)));
+    ::close(fd);
+    return (entry >> 57) & 1;
+}
+
+/** Whether this process may open a userfaultfd with the flags and
+ *  SIGBUS delivery NvRegion asks for (x86-64 builds only, as there). */
+bool
+userfaultfdGranted()
+{
+#ifdef VIYOJIT_TEST_UFFD
+    const int fd = static_cast<int>(::syscall(
+        __NR_userfaultfd, O_CLOEXEC | O_NONBLOCK | UFFD_USER_MODE_ONLY));
+    if (fd < 0)
+        return false;
+    struct uffdio_api api = {};
+    api.api = UFFD_API;
+    api.features = UFFD_FEATURE_SIGBUS;
+    const bool granted = ::ioctl(fd, UFFDIO_API, &api) == 0;
+    ::close(fd);
+    return granted;
+#else
+    return false;
+#endif
 }
 
 struct RegionFixture : public ::testing::Test
@@ -102,6 +150,27 @@ TEST_F(RegionFixture, CreateGivesZeroedReadableMemory)
     for (std::uint64_t i = 0; i < region->size(); i += 4096)
         EXPECT_EQ(data[i], 0);
     EXPECT_EQ(region->size() % region->pageSize(), 0u);
+    // Reads never admit a page, even where the first read of each
+    // faults (userfaultfd maps it zeroed and write-protected).
+    EXPECT_EQ(region->stats().writeFaults, 0u);
+    EXPECT_EQ(region->stats().dirtyPages, 0u);
+    static_cast<char *>(region->base())[0] = 'x';
+    EXPECT_EQ(region->stats().writeFaults, 1u);
+    EXPECT_EQ(region->stats().dirtyPages, 1u);
+}
+
+TEST_F(RegionFixture, PicksUserfaultfdWhereGranted)
+{
+    const Protection want = userfaultfdGranted() ? Protection::userfaultfd
+                                                 : Protection::mprotect;
+    const std::string path = makePath("primitive");
+    {
+        auto region = NvRegion::create(path, 64_KiB, manualConfig(4));
+        EXPECT_EQ(region->protection(), want);
+        static_cast<char *>(region->base())[0] = 'x';
+    }
+    auto region = NvRegion::recover(path, manualConfig(4));
+    EXPECT_EQ(region->protection(), want);
 }
 
 TEST_F(RegionFixture, FirstWriteFaultsAndSucceeds)
@@ -210,9 +279,11 @@ TEST_F(RegionFixture, EpochTickReprotectsDirtyPages)
 
     // Many runs of written pages: isolated pages, a run, the first
     // and last page, and a run across the two-shard boundary at 128.
-    // Only permissions are checked, never the number of mappings:
-    // whether re-protected pages merge back into fewer mappings
-    // depends on the memory layout.
+    // Under mprotect only permissions are checked, never the number
+    // of mappings: whether re-protected pages merge back into fewer
+    // mappings depends on the memory layout.  Under userfaultfd the
+    // protection is each PTE's uffd-wp bit and the region stays one
+    // mapping.
     static constexpr std::array<std::uint64_t, 11> kWritten = {
         0, 5, 6, 7, 60, 126, 127, 128, 129, 200, 255};
     for (const unsigned shards : {1u, 2u}) {
@@ -226,15 +297,57 @@ TEST_F(RegionFixture, EpochTickReprotectsDirtyPages)
         const std::uint64_t ps = region->pageSize();
         for (const std::uint64_t p : kWritten)
             data[p * ps] = 'a';
-        EXPECT_EQ(writableMappings(data, region->size()), 6u);
+        const bool uffd = region->protection() == Protection::userfaultfd;
+        if (uffd) {
+            EXPECT_EQ(mappings(data, region->size(), false), 1u);
+            for (const std::uint64_t p : kWritten)
+                EXPECT_FALSE(uffdWriteProtected(data + p * ps)) << p;
+        } else {
+            EXPECT_EQ(mappings(data, region->size(), true), 6u);
+        }
         region->epochTick();
-        EXPECT_EQ(writableMappings(data, region->size()), 0u);
+        if (uffd) {
+            EXPECT_EQ(mappings(data, region->size(), false), 1u);
+            for (const std::uint64_t p : kWritten)
+                EXPECT_TRUE(uffdWriteProtected(data + p * ps)) << p;
+        } else {
+            EXPECT_EQ(mappings(data, region->size(), true), 0u);
+        }
         const std::uint64_t faults = region->stats().writeFaults;
         for (const std::uint64_t p : kWritten)
             data[p * ps] = 'b';
         EXPECT_EQ(region->stats().writeFaults, faults + kWritten.size());
         EXPECT_EQ(region->stats().dirtyPages, kWritten.size());
+        if (uffd) {
+            EXPECT_EQ(mappings(data, region->size(), false), 1u);
+        }
     }
+}
+
+TEST_F(RegionFixture, ScatteredWritesStayOneMapping)
+{
+    // 40,000 dirty pages, each between two never-written ones.  Under
+    // mprotect each is a writable mapping of its own, which exceeds
+    // vm.max_map_count (65,530 by default) and panics.
+    constexpr std::uint64_t kWritten = 40000;
+    const auto ps = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    auto region = NvRegion::create(makePath("scattered"),
+                                   2 * kWritten * ps,
+                                   manualConfig(kWritten));
+    if (region->protection() != Protection::userfaultfd)
+        GTEST_SKIP() << "mprotect fallback: one mapping per written "
+                        "page still hits vm.max_map_count (ROADMAP "
+                        "item 1, step 1)";
+    char *data = static_cast<char *>(region->base());
+    for (std::uint64_t i = 0; i < kWritten; ++i)
+        data[2 * i * ps] = static_cast<char>(i | 1);
+    EXPECT_EQ(region->stats().dirtyPages, kWritten);
+    EXPECT_EQ(mappings(data, region->size(), false), 1u);
+    EXPECT_EQ(region->flushAll(), kWritten);
+    EXPECT_EQ(region->stats().dirtyPages, 0u);
+    EXPECT_EQ(mappings(data, region->size(), false), 1u);
+    for (std::uint64_t i = 0; i < kWritten; ++i)
+        ASSERT_EQ(data[2 * i * ps], static_cast<char>(i | 1)) << i;
 }
 
 TEST_F(RegionFixture, ColdPagesGetCopiedProactively)
