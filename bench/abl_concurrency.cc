@@ -95,7 +95,6 @@ struct RunOutcome
     std::uint64_t updateP50Ns = 0;
     std::uint64_t updateP99Ns = 0;
     std::uint64_t writeFaults = 0;
-    std::uint64_t quotaSteals = 0;
     std::uint64_t blockedEvictions = 0;
     std::uint64_t proactiveCopies = 0;
     std::uint64_t bytesPersisted = 0;
@@ -103,8 +102,6 @@ struct RunOutcome
     std::uint64_t watermarkRefills = 0;
     std::uint64_t proactiveDonations = 0;
     std::uint64_t shedEvictions = 0;
-    std::uint64_t backoffRetries = 0;
-    std::uint64_t starvedFaults = 0;
     std::vector<runtime::RegionStats::ShardCounters> perShard;
 };
 
@@ -245,7 +242,6 @@ runOnce(const RunConfig &rc)
     out.updateP50Ns = updateLatency.percentile(50.0);
     out.updateP99Ns = updateLatency.percentile(99.0);
     out.writeFaults = stats.writeFaults;
-    out.quotaSteals = stats.quotaSteals;
     out.blockedEvictions = stats.blockedEvictions;
     out.proactiveCopies = stats.proactiveCopies;
     out.bytesPersisted = stats.bytesPersisted;
@@ -253,8 +249,6 @@ runOnce(const RunConfig &rc)
     out.watermarkRefills = stats.watermarkRefills;
     out.proactiveDonations = stats.proactiveDonations;
     out.shedEvictions = stats.shedEvictions;
-    out.backoffRetries = stats.backoffRetries;
-    out.starvedFaults = stats.starvedFaults;
     out.perShard = stats.perShard;
 
     // Sanity gate on the latency path: a p50 below the calibrated
@@ -449,13 +443,10 @@ main(int argc, char **argv)
                       << " us, faults " << out.writeFaults
                       << ", evict " << out.blockedEvictions
                       << ", proact " << out.proactiveCopies
-                      << ", epochs " << out.epochs << ", steals "
-                      << out.quotaSteals << ", refills "
+                      << ", epochs " << out.epochs << ", refills "
                       << out.watermarkRefills << ", donates "
                       << out.proactiveDonations << ", shed "
-                      << out.shedEvictions << ", backoff "
-                      << out.backoffRetries << ", starved "
-                      << out.starvedFaults << "\n";
+                      << out.shedEvictions << "\n";
             return 0;
         }
     }
@@ -468,9 +459,8 @@ main(int argc, char **argv)
                 "(host cpus: " + std::to_string(hostCpus) + ")");
     table.setHeader({"Threads", "Shards", "Copiers", "Ops",
                      "Kops/s", "Upd p50 (us)", "Upd p99 (us)",
-                     "Faults", "Steals", "Refills", "Donates",
-                     "Shed", "Backoff", "Evict", "Proact",
-                     "MiB", "Epochs"});
+                     "Faults", "Refills", "Donates", "Shed",
+                     "Evict", "Proact", "MiB", "Epochs"});
 
     struct Row
     {
@@ -499,11 +489,9 @@ main(int argc, char **argv)
                  Table::fmt(static_cast<double>(out.updateP99Ns) /
                             1000.0, 1),
                  std::to_string(out.writeFaults),
-                 std::to_string(out.quotaSteals),
                  std::to_string(out.watermarkRefills),
                  std::to_string(out.proactiveDonations),
                  std::to_string(out.shedEvictions),
-                 std::to_string(out.backoffRetries),
                  std::to_string(out.blockedEvictions),
                  std::to_string(out.proactiveCopies),
                  Table::fmt(static_cast<double>(out.bytesPersisted) /
@@ -526,25 +514,17 @@ main(int argc, char **argv)
              << ", \"update_p50_ns\": " << r.out.updateP50Ns
              << ", \"update_p99_ns\": " << r.out.updateP99Ns
              << ", \"write_faults\": " << r.out.writeFaults
-             << ", \"quota_steals\": " << r.out.quotaSteals
              << ", \"watermark_refills\": " << r.out.watermarkRefills
              << ", \"proactive_donations\": "
              << r.out.proactiveDonations
              << ", \"shed_evictions\": " << r.out.shedEvictions
-             << ", \"backoff_retries\": " << r.out.backoffRetries
-             << ", \"starved_faults\": " << r.out.starvedFaults
              << ", \"per_shard\": {"
-             << "\"steals\": " << shardArray(r.out.perShard,
-                    [](const auto &s) { return s.steals; })
-             << ", \"watermark_refills\": "
+             << "\"watermark_refills\": "
              << shardArray(r.out.perShard,
                     [](const auto &s) { return s.watermarkRefills; })
              << ", \"proactive_donations\": "
              << shardArray(r.out.perShard,
                     [](const auto &s) { return s.proactiveDonations; })
-             << ", \"backoff_retries\": "
-             << shardArray(r.out.perShard,
-                    [](const auto &s) { return s.backoffRetries; })
              << "}"
              << ", \"host_cpus\": " << hostCpus
              << ", \"single_cpu_warning\": "

@@ -55,7 +55,6 @@ DirtyBudgetController::attachBudgetPool(BudgetPool *pool,
     // never push a fault-path insert into a reallocation.
     tracker_.reserve(pool->totalPages());
     recency_.reserveDirtyBound(pool->totalPages());
-    updateSpareGauge();
 }
 
 void
@@ -68,9 +67,6 @@ DirtyBudgetController::deriveQuotaWatermarks(
     quotaLow_ = std::max<std::uint64_t>(1, batch / 2);
     quotaMid_ = std::max(quotaLow_, batch);
     quotaHigh_ = 2 * quotaMid_;
-    // The donatable gauge measures spare from quotaMid_, so moved
-    // watermarks shift what steal sweeps may see.
-    updateSpareGauge();
 }
 
 bool
@@ -85,10 +81,8 @@ DirtyBudgetController::refillQuota(std::uint64_t min_take)
     const std::uint64_t got = pool_->tryBorrow(want);
     budget_ += got;
     stats_.quotaBorrowedPages += got;
-    if (got) {
+    if (got)
         ++stats_.watermarkRefills;
-        updateSpareGauge();
-    }
     return got > 0;
 }
 
@@ -99,28 +93,25 @@ DirtyBudgetController::maybeDonateSurplus()
     // flushing (the budget is about to be redistributed or the
     // region torn down), so parking transient spare in the pool is
     // CAS churn nobody will borrow against.  The post-drain surplus
-    // stays local and steal-visible instead — the drain's caller
-    // decides what happens to it.
+    // stays local until the next epoch boundary donates it — the
+    // drain's caller decides what happens before then.
     if (!pool_ || emergencyFlush_)
         return false;
     const std::uint64_t used = tracker_.count();
     const std::uint64_t spare = budget_ > used ? budget_ - used : 0;
     if (spare < quotaHigh_)
         return false;
-    // Reaching the high watermark donates immediately — a shard is
-    // never left *resting* at the band edge, so the steal sweep's
-    // gauge scan finds donors only in the completion-to-donation
-    // race window (or after a donation-suppressed drain).  Donate
-    // down to the mid target, not to the low watermark: landing
-    // mid-band means the next refill needs mid - low more admissions
-    // than a donate-to-low would, which is the hysteresis that stops
+    // Reaching the high watermark donates immediately, so a sibling
+    // can borrow the surplus from the pool.  Donate down to the mid
+    // target, not to the low watermark: landing mid-band means the
+    // next refill needs mid - low more admissions than a
+    // donate-to-low would, which is the hysteresis that stops
     // boundary ping-pong.
     const std::uint64_t give = spare - quotaMid_;
     budget_ -= give;
     stats_.quotaReturnedPages += give;
     ++stats_.proactiveDonations;
     pool_->deposit(give);
-    updateSpareGauge();
     return true;
 }
 
@@ -138,22 +129,22 @@ DirtyBudgetController::rebalanceQuota()
 }
 
 bool
-DirtyBudgetController::makeRoomForAdmission(bool allow_evict)
+DirtyBudgetController::makeRoomForAdmission()
 {
     while (tracker_.count() >= budget_) {
         // Prefer growing the quota over evicting: a burst should
         // consume global battery slack before it costs SSD writes.
         if (pool_ && refillQuota(1))
             continue;
-        if (budget_ == 0 || !allow_evict)
-            return false; // need external quota before evicting
+        if (budget_ == 0)
+            return false; // nothing to evict into
         evictOneBlocking();
     }
     return true;
 }
 
 bool
-DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
+DirtyBudgetController::onWriteFault(PageNum page)
 {
     for (;;) {
         if (copyState_[page] != kIdle) {
@@ -185,11 +176,12 @@ DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
         }
 
         // Admitting a new dirty page; make room first (fig. 6 steps
-        // 5-7).  A quota-starved shard reports failure *before*
-        // counting the fault, so the caller's steal-and-retry shows
-        // up as one fault.
-        if (!makeRoomForAdmission(allow_evict))
-            return false;
+        // 5-7).  That fails only at zero quota with a dry pool, which
+        // NvRegion never allows.  No caller can go on from there: the
+        // runtime's fault would re-fault forever, and the simulated
+        // MMU gives up after a few retries.  So fail here, by name.
+        const bool room = makeRoomForAdmission();
+        VIYOJIT_ASSERT(room, "write fault at zero quota with a dry pool");
         // Making room can wait for a copy to land, and the runtime
         // releases the shard lock while it waits: another thread may
         // have admitted this page meanwhile, and a copy of it may
@@ -205,13 +197,12 @@ DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
     backend_.unprotectPage(page);
     tracker_.markDirty(page);
     recency_.recordUpdate(page);
-    updateSpareGauge();
 
     // Hysteretic refill: crossing the low watermark tops spare quota
     // back up to the mid target in one batched borrow, so steady
     // admission never reaches the spare == 0 slow path (and the
-    // donor-sweep steal behind it) while the pool has pages.  One
-    // branch in the common case; the CAS only fires on a crossing.
+    // eviction behind it) while the pool has pages.  One branch in
+    // the common case; the CAS only fires on a crossing.
     if (pool_ && budget_ - tracker_.count() < quotaLow_)
         refillQuota(0);
 
@@ -229,17 +220,16 @@ DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
 }
 
 bool
-DirtyBudgetController::onHardwareDirty(PageNum page, bool allow_evict)
+DirtyBudgetController::onHardwareDirty(PageNum page)
 {
     VIYOJIT_ASSERT(config_.hardwareAssist,
                    "hardware admission without hardware assist");
     if (copyState_[page] != kIdle || tracker_.isDirty(page))
         return true;
-    if (!makeRoomForAdmission(allow_evict))
+    if (!makeRoomForAdmission())
         return false;
     tracker_.markDirty(page);
     recency_.recordUpdate(page);
-    updateSpareGauge();
     if (pool_ && budget_ - tracker_.count() < quotaLow_)
         refillQuota(0);
     if (config_.continuousCopyTrigger)
@@ -317,7 +307,6 @@ DirtyBudgetController::evictOneBlocking()
         backend_.unprotectPage(victim);
     }
     ++stats_.blockedEvictions;
-    updateSpareGauge();
 }
 
 void
@@ -552,11 +541,9 @@ DirtyBudgetController::onPersistComplete(PageNum page)
     }
     --inFlightCount_;
     tracker_.markClean(page);
-    updateSpareGauge();
     // Completions are where spare accumulates mid-epoch; pushing the
     // surplus to the pool HERE (not only at the boundary) means a
-    // starving sibling finds it by a lock-free borrow instead of a
-    // donor-lock steal.
+    // starving sibling finds it by a lock-free borrow.
     maybeDonateSurplus();
     if (config_.hardwareAssist)
         backend_.unprotectPage(page);
@@ -606,7 +593,6 @@ DirtyBudgetController::setDirtyBudget(std::uint64_t pages)
     // until we fit (battery fade handling, section 8).
     while (tracker_.count() > budget_)
         evictOneBlocking();
-    updateSpareGauge();
 }
 
 std::uint64_t
@@ -623,26 +609,6 @@ DirtyBudgetController::releaseQuota(std::uint64_t want,
     // dirty count fits what it keeps.
     while (tracker_.count() > budget_)
         evictOneBlocking();
-    updateSpareGauge();
-    return give;
-}
-
-std::uint64_t
-DirtyBudgetController::releaseDonatableQuota()
-{
-    const std::uint64_t used = tracker_.count();
-    const std::uint64_t spare = budget_ > used ? budget_ - used : 0;
-    // Only donors at/above the high (donation) watermark give, and
-    // they give down to mid — the same movement an epoch-boundary
-    // donation would make, just demand-driven.  In-band spare is the
-    // donor's working headroom: stealing it would push the donor
-    // across its own low watermark and cascade refills.
-    if (spare < quotaHigh_)
-        return 0;
-    const std::uint64_t give = spare - quotaMid_;
-    budget_ -= give;
-    stats_.quotaReturnedPages += give;
-    updateSpareGauge();
     return give;
 }
 
@@ -660,7 +626,6 @@ DirtyBudgetController::flushPageBlocking(PageNum page)
     backend_.protectPage(page);
     backend_.persistPageBlocking(page);
     tracker_.markClean(page);
-    updateSpareGauge();
 }
 
 std::uint64_t
@@ -718,7 +683,6 @@ DirtyBudgetController::flushAllDirty()
         backend_.waitForAnyPersist();
     }
     emergencyFlush_ = false;
-    updateSpareGauge();
     return flushed;
 }
 

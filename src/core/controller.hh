@@ -20,7 +20,6 @@
 #ifndef VIYOJIT_CORE_CONTROLLER_HH
 #define VIYOJIT_CORE_CONTROLLER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -125,58 +124,30 @@ class DirtyBudgetController : public PersistClient
     void deriveQuotaWatermarks(std::uint64_t per_shard_share);
 
     /**
-     * Donatable-quota gauge — spare (quota minus dirty count) ABOVE
-     * the mid watermark — readable without the owner's lock: a
-     * relaxed atomic the owning thread refreshes whenever quota, the
-     * dirty count, or the watermarks move.  Cross-shard steal sweeps
-     * use it to skip donors with nothing to give without taking
-     * their locks; staleness only costs a skipped donor or a wasted
-     * lock, never correctness (the authoritative value is re-read
-     * under the donor's lock by releaseDonatableQuota).
-     *
-     * Gating on the HIGH watermark — not zero spare — is what makes
-     * steals rare and cascade-free: spare inside the hysteresis band
-     * is the donor's working headroom, and stealing it would push
-     * the donor under its own low watermark, whose refill dries the
-     * pool for the next shard — the quota-thrash loop hysteresis
-     * exists to break.  In-band siblings therefore read 0 here and
-     * the thief evicts locally (cheap once evictions shed to the
-     * copiers) instead of churning quota.
-     */
-    std::uint64_t donatableQuotaGauge() const
-    {
-        return spareGauge_.load(std::memory_order_relaxed);
-    }
-
-    /**
      * Handle a write-protection fault on `page` (figure 6 steps 3-8).
-     * On success the page is writable and accounted dirty, and the
-     * dirty count is within the (local) budget.
+     * On return the page is writable and accounted dirty, and the
+     * dirty count is within the (local) budget: a full quota refills
+     * from the attached pool, or else evicts this controller's own
+     * coldest page.
      *
-     * @param allow_evict permit evicting this shard's own pages to
-     *        make room.  A pooled caller passes false on the first
-     *        try so a full quota reports failure instead of paying
-     *        an SSD write — spare quota idling in a sibling shard is
-     *        free, an eviction is not — and retries with true once
-     *        no sibling had any to give.
-     * @return false only in pooled mode, when the pool is empty and
-     *         the quota cannot cover the admission without an
-     *         eviction the caller disallowed (or, with allow_evict,
-     *         when the quota is zero outright).  Nothing was changed;
-     *         the caller must acquire quota (steal via
-     *         releaseDonatableQuota/the pool) and retry.  Standalone
-     *         controllers (no pool) always return true.
+     * @return true.  The one admission that cannot succeed — a pooled
+     *         quota of zero with an empty pool, which
+     *         core::redistributeBudget can leave when the total is
+     *         below one page per shard — panics instead, since no
+     *         caller could go on from an unadmitted fault.  NvRegion
+     *         keeps every quota at one page or more.
      */
-    bool onWriteFault(PageNum page, bool allow_evict = true);
+    bool onWriteFault(PageNum page);
 
     /**
      * Hardware-assist admission (section 5.4): the MMU set a dirty
      * bit for `page` and bumped its dirty counter; account the page,
      * making room first if the budget is full.  Unlike onWriteFault
-     * there is no trap and the page is already writable.  Same
-     * return contract as onWriteFault.
+     * there is no trap and the page is already writable.
+     * @return false, with nothing changed, when the pooled quota is
+     *         zero and the pool is empty; true otherwise.
      */
-    bool onHardwareDirty(PageNum page, bool allow_evict = true);
+    bool onHardwareDirty(PageNum page);
 
     /**
      * Epoch boundary (paper: every 1 ms): scan and clear dirty bits,
@@ -209,30 +180,15 @@ class DirtyBudgetController : public PersistClient
     /**
      * Give up to `want` pages of quota, never dropping the local
      * budget below `floor`; evicts synchronously while the dirty
-     * count exceeds the shrunken quota.  Used for cross-shard quota
-     * steals and budget retuning.  The released pages are returned
-     * to the caller (not deposited anywhere) — hand them to the pool
-     * or to another shard's grantQuota.
+     * count exceeds the shrunken quota.  Used for budget retuning.
+     * The released pages are returned to the caller (not deposited
+     * anywhere) — hand them to the pool or to another shard's
+     * grantQuota.
      */
     std::uint64_t releaseQuota(std::uint64_t want, std::uint64_t floor);
 
-    /**
-     * Give up all spare quota above the mid watermark — a
-     * demand-driven early donation, the donor side of a cross-shard
-     * steal.  Never evicts; leaves the donor exactly at its restore
-     * target, so the steal cannot push it across its own low
-     * watermark and trigger a compensating refill (no cascade).
-     * Returns 0 when spare is inside the hysteresis band — the
-     * caller should then evict locally rather than churn quota.
-     */
-    std::uint64_t releaseDonatableQuota();
-
-    /** Add quota pages taken from the pool or a sibling shard. */
-    void grantQuota(std::uint64_t pages)
-    {
-        budget_ += pages;
-        updateSpareGauge();
-    }
+    /** Add quota pages taken from the pool. */
+    void grantQuota(std::uint64_t pages) { budget_ += pages; }
 
     std::uint64_t dirtyBudget() const { return budget_; }
 
@@ -294,7 +250,7 @@ class DirtyBudgetController : public PersistClient
      * no IO) over a local eviction.  Returns false only in pooled
      * mode with zero quota and an empty pool (see onWriteFault).
      */
-    bool makeRoomForAdmission(bool allow_evict);
+    bool makeRoomForAdmission();
 
     /**
      * Low-watermark refill: borrow enough from the pool to restore
@@ -309,8 +265,8 @@ class DirtyBudgetController : public PersistClient
      * restoring spare to mid; no-op in-band.  Runs at epoch
      * boundaries AND on copy completions — completions are where
      * spare accumulates mid-epoch, and parking it in the pool lets a
-     * starving sibling take it with a lock-free borrow instead of a
-     * donor-lock steal.  True if anything was donated.
+     * starving sibling take it with a lock-free borrow.  True if
+     * anything was donated.
      */
     bool maybeDonateSurplus();
 
@@ -322,18 +278,6 @@ class DirtyBudgetController : public PersistClient
      * prevents two shards from ping-ponging a batch at a boundary.
      */
     void rebalanceQuota();
-
-    /** Refresh the lock-free donatable-quota gauge (relaxed store):
-     *  what a steal could harvest — spare down to the mid restore
-     *  target, but only once spare has reached the high (donation)
-     *  watermark; 0 for in-band spare, which is working headroom. */
-    void updateSpareGauge()
-    {
-        const std::uint64_t used = tracker_.count();
-        const std::uint64_t spare = budget_ > used ? budget_ - used : 0;
-        spareGauge_.store(spare >= quotaHigh_ ? spare - quotaMid_ : 0,
-                          std::memory_order_relaxed);
-    }
 
     /**
      * Launch async copies until threshold or IO-cap reached.
@@ -378,9 +322,6 @@ class DirtyBudgetController : public PersistClient
     std::uint64_t quotaLow_ = 0;
     std::uint64_t quotaMid_ = 1;
     std::uint64_t quotaHigh_ = 2;
-
-    /** Lock-free spare-quota gauge for donor pre-filtering. */
-    std::atomic<std::uint64_t> spareGauge_{0};
 
     DirtyPageTracker tracker_;
     EpochRecencyTracker recency_;

@@ -21,12 +21,6 @@ ViyojitManager::SimBackend::pageCount() const
     return mgr_.capacityPages_;
 }
 
-std::uint64_t
-ViyojitManager::SimBackend::pageSize() const
-{
-    return mgr_.config_.pageSize;
-}
-
 void
 ViyojitManager::SimBackend::protectPage(PageNum page)
 {

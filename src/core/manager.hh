@@ -350,7 +350,6 @@ class ViyojitManager
         {}
 
         std::uint64_t pageCount() const override;
-        std::uint64_t pageSize() const override;
         void protectPage(PageNum page) override;
         void unprotectPage(PageNum page) override;
         void scanAndClearDirty(

@@ -62,9 +62,6 @@ class PagingBackend
     /** Number of pages in the managed NV region. */
     virtual std::uint64_t pageCount() const = 0;
 
-    /** Bytes per page. */
-    virtual std::uint64_t pageSize() const = 0;
-
     /** Write-protect one page (and shoot down its translation). */
     virtual void protectPage(PageNum page) = 0;
 

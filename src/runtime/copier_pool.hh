@@ -32,7 +32,7 @@
  * Bounding the batch by pages rather than jobs caps the bytes a
  * worker holds in flight even when every job is a full-width run.
  *
- * Lock order (region.hh rule 4): the pool's queue lock is a leaf —
+ * Lock order (region.hh rule 3): the pool's queue lock is a leaf —
  * submit() is called with a shard lock held, and workers never hold
  * the queue lock while running jobs.
  */

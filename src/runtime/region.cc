@@ -2,11 +2,9 @@
 
 #include <fcntl.h>
 #include <limits.h>
-#include <sched.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/uio.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -244,25 +242,6 @@ struct NvRegion::Shard
     std::unique_ptr<core::DirtyBudgetController> controller
         PT_GUARDED_BY(lock);
 
-    /**
-     * Lock-free view of the controller for its donatable-quota
-     * gauge: the steal sweep pre-filters donors through this WITHOUT
-     * the shard lock.  The pointer is written once at construction,
-     * before the shard is published to the fault dispatcher, and
-     * donatableQuotaGauge() is a relaxed atomic load — a stale reading
-     * costs one wasted lock acquisition or one skipped donor, never
-     * correctness (the authoritative spare is re-read under the
-     * donor's lock before quota moves).
-     */
-    const core::DirtyBudgetController *gaugeView = nullptr;
-
-    /** Fault-path migration/backoff counters, written WITHOUT the
-     *  shard lock (the steal sweep and the admission backoff run
-     *  lock-free), so they live here as relaxed atomics rather than
-     *  in the lock-guarded ControllerStats. */
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> backoffRetries{0};
-    std::atomic<std::uint64_t> starvedFaults{0};
 };
 
 /**
@@ -297,11 +276,6 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     {}
 
     std::uint64_t pageCount() const override { return shard_.pages; }
-
-    std::uint64_t pageSize() const override
-    {
-        return region_.pageSize_;
-    }
 
     void
     protectPage(PageNum page) REQUIRES(shard_.lock) override
@@ -401,7 +375,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
             return;
         }
         // Called with the shard lock held; the copier queue lock is
-        // a leaf (lock-ordering rule 4).  Jobs are POD and the queue
+        // a leaf (lock-ordering rule 3).  Jobs are POD and the queue
         // a preallocated ring: no allocation on this path.
         for (unsigned i = 0; i < count; ++i)
             ioPending_[first + i] = 1;
@@ -806,7 +780,6 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
             shard->controller->deriveQuotaWatermarks(
                 budget / shard_count);
         }
-        shard->gaugeView = shard->controller.get();
         shards_.push_back(std::move(shard));
     }
 
@@ -970,55 +943,6 @@ NvRegion::mapZeroed(PageNum page, bool writable)
 #endif
 }
 
-namespace
-{
-
-/** One CPU relax in a spin loop (no syscall, no memory traffic). */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-    asm volatile("yield" ::: "memory");
-#else
-    asm volatile("" ::: "memory");
-#endif
-}
-
-/**
- * Capped exponential backoff for fault-path admission retries.  Runs
- * inside the SIGSEGV handler, so only async-signal-safe waits:
- * attempts 0-3 spin on a CPU relax (contention usually resolves in
- * nanoseconds), 4-7 cede the core with sched_yield (useful when the
- * holder is preempted, and the only option on a single-CPU host),
- * and 8+ sleep 1us << (attempt - 8), capped at 256us — long enough
- * for a device write to complete, short enough that a freed quota
- * batch is picked up promptly.
- */
-void
-faultBackoff(unsigned attempt)
-{
-    if (attempt < 4) {
-        for (unsigned i = 0; i < (16u << attempt); ++i)
-            cpuRelax();
-        return;
-    }
-    if (attempt < 8) {
-        ::sched_yield();
-        return;
-    }
-    const unsigned shift = std::min(attempt - 8, 8u);
-    struct timespec ts = {0, 1000L << shift};
-    ::nanosleep(&ts, nullptr);
-}
-
-/** Attempt index at which faultBackoff first hits its 256us cap; a
- *  fault still unadmitted after the whole ladder is starving. */
-constexpr unsigned kBackoffLadder = 16;
-
-} // namespace
-
 bool
 NvRegion::handleFault(void *addr, bool write)
 {
@@ -1035,87 +959,12 @@ NvRegion::handleFault(void *addr, bool write)
         return true;
     }
     Shard &shard = *shards_[shardOf(page)];
-    const PageNum local = page - shard.firstPage;
-    // Pooled shards first try to admit WITHOUT evicting: spare quota
-    // idling in a sibling is free, an eviction costs an SSD write.
-    // Only once a full donor sweep finds no spare does the retry
-    // permit a local eviction.  Standalone (shards=1, no pool) always
-    // evicts directly — onWriteFault never fails there, so the retry
-    // loop (and its counters) is dead code unsharded.
-    bool allow_evict = pool_ == nullptr;
-    unsigned attempt = 0;
-    for (;;) {
-        {
-            common::MutexLock guard(shard.lock);
-            if (shard.controller->onWriteFault(local, allow_evict))
-                return true;
-        }
-        // Quota starved: pull spare quota out of a sibling
-        // (lock-ordering rule 3) and retry the fault.  If no sibling
-        // had any, fall back to evicting our own coldest page.  The
-        // sweep runs on the first retry and then every fourth one:
-        // once an immediate steal has failed, surplus usually arrives
-        // via the pool (a sibling's boundary donation) or a local
-        // eviction completes first, so re-sweeping the gauges every
-        // lap just reheats donor cache lines.
-        if (attempt % 4 == 0)
-            allow_evict = !stealQuotaFor(shard.index);
-        else
-            allow_evict = true;
-        // Capped exponential backoff between retries.  The retry can
-        // lose the deposited quota to a racing thread's borrow, so
-        // N starving threads on one shard would otherwise convoy —
-        // re-sweeping every donor lock per lap (the old bare yield()
-        // spin).  Backing off lets the winner finish and keeps the
-        // donor locks cool; the cap bounds added fault latency.
-        shard.backoffRetries.fetch_add(1, std::memory_order_relaxed);
-        if (attempt + 1 == kBackoffLadder)
-            shard.starvedFaults.fetch_add(1,
-                                          std::memory_order_relaxed);
-        faultBackoff(attempt);
-        if (attempt < kBackoffLadder)
-            ++attempt;
-    }
-}
-
-bool
-NvRegion::stealQuotaFor(unsigned thief)
-{
-    for (std::size_t step = 1; step < shards_.size(); ++step) {
-        const std::size_t di = (thief + step) % shards_.size();
-        Shard &donor = *shards_[di];
-        // A steal only harvests spare ABOVE a donor's mid watermark
-        // (a demand-driven early donation): taking in-band spare
-        // would push the donor under its own low watermark, whose
-        // compensating refill dries the pool for the next shard —
-        // the quota-thrash cascade that made the old scheme take
-        // every donor's lock on every starving fault.  The lock-free
-        // gauge pre-filters in-band donors without touching their
-        // lock; when every sibling is in-band the thief evicts
-        // locally instead (cheap now that evictions shed to the
-        // copier pipeline).
-        if (donor.gaugeView->donatableQuotaGauge() == 0)
-            continue;
-        common::MutexLock guard(donor.lock);
-        // Deposit while still holding the donor lock: quota is then
-        // always either inside a shard or in the pool, so a thread
-        // holding every shard lock (setDirtyBudget) observes
-        // sum(quotas) + pool == total with nothing in transit.
-        const std::uint64_t got =
-            donor.controller->releaseDonatableQuota();
-        if (got) {
-            pool_->deposit(got);
-            quotaSteals_.fetch_add(1, std::memory_order_relaxed);
-            shards_[thief]->steals.fetch_add(
-                1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    // Every donor's quota is fully occupied by dirty pages (or the
-    // budget is momentarily in transit to another starving shard);
-    // let the faulting shard evict locally.  The caller's backoff
-    // replaces the bare yield() that used to sit here.
-    return false;
+    // One attempt: admission refills from the pool or evicts locally.
+    // It could fail only at zero quota with a dry pool, which create()
+    // and setDirtyBudget() rule out, and onWriteFault asserts that.
+    common::MutexLock guard(shard.lock);
+    shard.controller->onWriteFault(page - shard.firstPage);
+    return true;
 }
 
 void
@@ -1402,8 +1251,12 @@ NvRegion::setDirtyBudget(std::uint64_t pages)
         budgetPages_.store(pages, std::memory_order_relaxed);
         return;
     }
-    if (pages == 0)
-        fatal("dirty budget must be at least one page");
+    // One page per shard keeps every quota above zero, where
+    // admission never fails (handleFault).
+    const std::uint64_t n = shards_.size();
+    if (pages < n)
+        fatal("sharded region needs a dirty budget of at least one "
+              "page per shard");
 
     // Whole-region retune, done INCREMENTALLY — one shard lock at a
     // time, never all at once.  A shrink can block on in-flight
@@ -1425,10 +1278,9 @@ NvRegion::setDirtyBudget(std::uint64_t pages)
     }
 
     // Keep the two-page straddling floor per shard whenever the new
-    // total can honour it (mirrors core::redistributeBudget).
-    const std::uint64_t n = shards_.size();
-    const std::uint64_t floor =
-        pages >= 2 * n ? 2 : (pages >= n ? 1 : 0);
+    // total can honour it (mirrors core::redistributeBudget), and one
+    // page otherwise.
+    const std::uint64_t floor = pages >= 2 * n ? 2 : 1;
 
     std::uint64_t to_destroy = old_total - pages;
     to_destroy -= pool_->confiscate(to_destroy);
@@ -1499,28 +1351,18 @@ NvRegion::stats() const NO_THREAD_SAFETY_ANALYSIS
         out.watermarkRefills += cs.watermarkRefills;
         out.proactiveDonations += cs.proactiveDonations;
         out.shedEvictions += cs.shedEvictions;
-        const std::uint64_t steals =
-            shard.steals.load(std::memory_order_relaxed);
-        const std::uint64_t backoffs =
-            shard.backoffRetries.load(std::memory_order_relaxed);
-        out.backoffRetries += backoffs;
-        out.starvedFaults +=
-            shard.starvedFaults.load(std::memory_order_relaxed);
         out.dirtyPages += shard.controller->tracker().count();
         quotas += shard.controller->dirtyBudget();
         if (pool_) {
             RegionStats::ShardCounters &ps = out.perShard[i];
-            ps.steals = steals;
             ps.watermarkRefills = cs.watermarkRefills;
             ps.proactiveDonations = cs.proactiveDonations;
-            ps.backoffRetries = backoffs;
         }
     }
     // Epochs advance in lockstep across shards; report one, not n.
     out.epochs = shards_[0]->controller->stats().epochs;
     out.bytesPersisted =
         bytesPersisted_.load(std::memory_order_relaxed);
-    out.quotaSteals = quotaSteals_.load(std::memory_order_relaxed);
     out.runFallbacks = runFallbacks_.load(std::memory_order_relaxed);
     out.scrubScanned = scrubScanned_.load(std::memory_order_relaxed);
     out.scrubSkippedBusy =

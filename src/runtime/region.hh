@@ -61,15 +61,18 @@
  * quota and borrow/return batches through lock-free pool
  * operations, so the durability invariant — summed dirty pages never
  * exceed the battery budget — holds at every instant while the fault
- * fast path touches only its shard's lock.  `shards = 1` (the
- * default) bypasses the pool entirely and behaves exactly like the
- * pre-sharding runtime.
+ * path touches only its shard's lock.  Quota moves between shards
+ * only through the pool: a fault at a full quota refills from it or
+ * else evicts one of its own shard's pages, in one attempt.
+ * `shards = 1` (the default) bypasses the pool entirely and behaves
+ * exactly like the pre-sharding runtime.
  *
  * LOCK ORDERING.  Five lock classes exist; deadlock freedom rests on
- * these rules, the first four encoded as Clang Thread Safety
+ * these four rules, the first three encoded as Clang Thread Safety
  * annotations (common/thread_annotations.hh) so a clang build with
  * `-Wthread-safety -Werror` rejects violations — see DESIGN.md §8
- * for the rule-by-rule annotation map:
+ * for the rule-by-rule annotation map.  The fault path takes only
+ * its own shard lock, plus the copier queue's leaf lock (rule 3):
  *
  *   1. Shard locks are peers.  No thread acquires a second shard
  *      lock while holding one, with a single exception: the coherent
@@ -90,18 +93,12 @@
  *      total-changing operations (grow/confiscate/destroy, each
  *      EXCLUDES(retuneLock_)) and nests inside whatever single
  *      shard lock the caller holds.
- *   3. Cross-shard quota steals lock the donor shard while holding
- *      NO other shard lock: the thief releases its own shard lock,
- *      locks one donor at a time, and deposits the clawed-back quota
- *      into the pool BEFORE unlocking the donor, so quota is never
- *      in transit outside every lock — a thread holding all shard
- *      locks always observes sum(quotas) + pool == total.
- *   4. The copier pool's queue lock is a leaf: submissions happen
+ *   3. The copier pool's queue lock is a leaf: submissions happen
  *      under a shard lock (CopierPool::submit EXCLUDES its queue
  *      lock), but copier workers never hold the queue lock while
  *      persisting or completing (completions re-acquire the owning
  *      shard's lock only).
- *   5. The sidecar's barrier lock (MetaSidecar::commitPending) is a
+ *   4. The sidecar's barrier lock (MetaSidecar::commitPending) is a
  *      leaf that is never taken with a shard lock held: the
  *      write-behind thread, flushAll() and teardown take it after
  *      releasing every shard lock, and scrubTick() commits its
@@ -284,14 +281,15 @@ struct RegionStats
     std::uint64_t quotaBorrowedPages = 0;
     std::uint64_t quotaReturnedPages = 0;
 
-    /** Cross-shard quota steals (fault path found the pool dry). */
+    /** Always 0: quota moves only through the pool, so nothing
+     *  steals it from a sibling shard.  Kept while the repository
+     *  benchmark still reads it (ROADMAP item 8). */
     std::uint64_t quotaSteals = 0;
 
-    /** Hysteretic quota migration: batched refills taken when spare
-     *  quota crossed the low watermark, and proactive donations made
-     *  above the high watermark at epoch boundaries.  Healthy
-     *  multicore runs migrate through these; steals are the rare
-     *  slow path. */
+    /** Hysteretic quota migration, the only way quota moves between
+     *  shards: batched refills taken when spare quota crossed the low
+     *  watermark, and proactive donations made above the high
+     *  watermark at epoch boundaries and copy completions. */
     std::uint64_t watermarkRefills = 0;
     std::uint64_t proactiveDonations = 0;
 
@@ -299,9 +297,9 @@ struct RegionStats
      *  instead of paying a synchronous device write. */
     std::uint64_t shedEvictions = 0;
 
-    /** Fault-path admission retries that entered the capped
-     *  exponential backoff, and faults that exhausted a full backoff
-     *  ladder without admitting (starvation signal). */
+    /** Always 0: a fault admits on its one attempt, so it never
+     *  retries or starves.  Kept while the repository benchmark still
+     *  reads them (ROADMAP item 8). */
     std::uint64_t backoffRetries = 0;
     std::uint64_t starvedFaults = 0;
 
@@ -345,15 +343,13 @@ struct RegionStats
     std::uint64_t compressBypasses = 0;
     std::uint64_t storedBytesPersisted = 0;
 
-    /** Per-shard migration/backoff counters (empty when unsharded):
-     *  where the aggregates above came from, so a skewed workload's
-     *  hot shard is visible instead of averaged away. */
+    /** Per-shard migration counters (empty when unsharded): where
+     *  the aggregates above came from, so a skewed workload's hot
+     *  shard is visible instead of averaged away. */
     struct ShardCounters
     {
-        std::uint64_t steals = 0;
         std::uint64_t watermarkRefills = 0;
         std::uint64_t proactiveDonations = 0;
-        std::uint64_t backoffRetries = 0;
     };
     std::vector<ShardCounters> perShard;
 };
@@ -459,12 +455,16 @@ class NvRegion
     std::uint64_t flushAll();
 
     /**
-     * Retune the dirty budget at runtime.  Sharded regions shrink
+     * Retune the dirty budget at runtime.  Sharded regions need at
+     * least one page per shard (fatal() otherwise, with nothing
+     * changed), so no shard's quota reaches zero.  They shrink
      * incrementally — one shard lock at a time under the retune
      * mutex, destroying reclaimed quota so the pool total never
      * rises transiently (evicting synchronously where a shard's
-     * dirty count no longer fits its shrunken quota).  On return the
-     * pool total equals `pages` and the summed dirty count fits it.
+     * dirty count no longer fits its shrunken quota), down to a
+     * floor of two pages per shard where `pages` covers that and one
+     * page otherwise.  On return the pool total equals `pages` and
+     * the summed dirty count fits it.
      */
     void setDirtyBudget(std::uint64_t pages) EXCLUDES(retuneLock_);
 
@@ -574,27 +574,6 @@ class NvRegion
     }
 
     /**
-     * Fault-path quota steal for `thief`: called with NO shard lock
-     * held; locks one donor shard at a time (lock-ordering rule 3)
-     * and moves SPARE quota (slack above a donor's dirty count —
-     * never evicting donor pages) into the pool for the thief's
-     * retry to borrow.  Returns false when no sibling had any to
-     * give, signalling the thief to evict locally instead.
-     *
-     * With hysteretic watermark migration this is the rare slow
-     * path: donors advertise spare above their mid watermark in a
-     * lock-free gauge (DirtyBudgetController::donatableQuotaGauge),
-     * and the sweep skips donors whose gauge reads zero WITHOUT
-     * taking their lock — a stale gauge costs one wasted lock
-     * acquisition or one skipped donor, never correctness, because
-     * the authoritative value is re-read under the donor's lock
-     * before any quota moves.  In-band spare is never stolen (it
-     * would cascade into compensating refills); when every sibling
-     * is in-band the thief evicts locally instead.
-     */
-    bool stealQuotaFor(unsigned thief);
-
-    /**
      * Re-derive every shard's quota watermarks from a retuned pool
      * total (fair share = total / shards).  Called under the retune
      * mutex, locking one shard at a time — no all-shards lock set,
@@ -635,7 +614,6 @@ class NvRegion
     std::atomic<bool> epochRunning_{false};
 
     std::atomic<std::uint64_t> bytesPersisted_{0};
-    std::atomic<std::uint64_t> quotaSteals_{0};
     std::atomic<std::uint64_t> runFallbacks_{0};
 
     /** Compressed copy-out accounting (copier threads only). */
@@ -663,7 +641,7 @@ class NvRegion
     /** Durable commit-record sidecar (`<backing>.meta`).  Its
      *  fault-path interface is lock-free, so persist paths use it
      *  without extra synchronization; its commit barrier serializes
-     *  on its own leaf lock (lock-ordering rule 5). */
+     *  on its own leaf lock (lock-ordering rule 4). */
     std::unique_ptr<MetaSidecar> meta_;
 
     RuntimeRecoveryReport recoveryReport_;

@@ -8,9 +8,10 @@
  * them; writers touch overlapping pages across shard boundaries, and
  * each thread writes a disjoint byte slot within a page so the only
  * sharing TSan sees is the runtime's own.  The directed tests pin
- * down the quota-migration paths: borrowing from the pool, stealing
- * from sibling shards once the pool is dry, concurrent retunes, and
- * page-straddling stores across a shard boundary.
+ * down the quota-migration paths: borrowing from the pool, spare
+ * quota that reaches a hot shard only through the pool, concurrent
+ * retunes and their one-page-per-shard floor, and page-straddling
+ * stores across a shard boundary.
  */
 
 #include <gtest/gtest.h>
@@ -223,13 +224,13 @@ TEST_F(ConcurrencyFixture, HotShardBorrowsQuotaFromPool)
     EXPECT_LE(stats.dirtyPages, stats.dirtyBudgetPages);
 }
 
-TEST_F(ConcurrencyFixture, DryPoolForcesCrossShardSteal)
+TEST_F(ConcurrencyFixture, DrainedSpareReachesHotShardThroughPool)
 {
     // Fill all four shards, then shrink the budget to the 2-per-shard
     // floor: the pool is left empty and every shard's quota is tight.
-    // New admissions in shard 0 can only proceed by stealing quota
-    // from a sibling shard.
-    auto region = NvRegion::create(makePath("steal"), 1_MiB,
+    // Quota moves between shards only through the pool, so shard 0
+    // can grow only once a sibling has donated into it.
+    auto region = NvRegion::create(makePath("pool"), 1_MiB,
                                    manualSharded(64, 4));
     char *base = static_cast<char *>(region->base());
     const std::uint64_t page_size = region->pageSize();
@@ -246,20 +247,62 @@ TEST_F(ConcurrencyFixture, DryPoolForcesCrossShardSteal)
     EXPECT_EQ(region->stats().dirtyBudgetPages, 8u);
 
     // Flush: every shard now holds 2 pages of quota with zero dirty
-    // pages — pure spare quota, and the pool is still empty.
+    // pages.  The drain suppresses donations, so the pool is still
+    // empty; the next epoch boundary donates each shard's spare
+    // above its mid watermark (share 2: low = mid = 1, high = 2).
     region->flushAll();
     EXPECT_EQ(region->stats().dirtyPages, 0u);
+    EXPECT_EQ(region->stats().poolAvailablePages, 0u);
+    region->epochTick();
+    const RegionStats before = region->stats();
+    EXPECT_EQ(before.poolAvailablePages, 4u);
 
-    // Shard 0 admits three fresh pages; only two fit its floor
-    // quota, so the third must claw a sibling's spare quota through
-    // the pool (cheaper than evicting shard 0's own pages).
+    // Shard 0 admits three fresh pages against its one-page quota:
+    // each admission refills from the pool, none evicts.  The pump
+    // may still copy an admitted page out proactively (the boundary
+    // sized its threshold from the 12-page fill), which cleans it.
     for (std::uint64_t i = 20; i < 23; ++i)
         base[i * page_size] = 'S';
 
     const RegionStats stats = region->stats();
-    EXPECT_EQ(stats.dirtyPages, 3u);
-    EXPECT_GE(stats.quotaSteals, 1u);
+    EXPECT_EQ(stats.writeFaults - before.writeFaults, 3u);
+    EXPECT_EQ(stats.dirtyPages + stats.proactiveCopies -
+                  before.proactiveCopies,
+              3u);
+    EXPECT_GT(stats.quotaBorrowedPages, before.quotaBorrowedPages);
+    EXPECT_EQ(stats.blockedEvictions + stats.shedEvictions,
+              before.blockedEvictions + before.shedEvictions);
+    EXPECT_EQ(stats.dirtyBudgetPages, 8u);
     EXPECT_LE(stats.dirtyPages, 8u);
+}
+
+TEST_F(ConcurrencyFixture, ShardedBudgetBelowOnePagePerShardIsRejected)
+{
+    // A zero quota is the one case in which admission can fail, so a
+    // sharded region refuses any budget below one page per shard, as
+    // create() does, and keeps the budget it had.
+    auto region = NvRegion::create(makePath("floor"), 1_MiB,
+                                   manualSharded(64, 4));
+    char *base = static_cast<char *>(region->base());
+    const std::uint64_t page_size = region->pageSize();
+    for (std::uint64_t page = 0; page < 8; ++page)
+        base[page * page_size] = 'f';
+
+    // ASSERT: an accepted budget of 3 would park a shard at zero
+    // quota, where the writes below could never be admitted.
+    ASSERT_THROW(region->setDirtyBudget(3), FatalError);
+    EXPECT_THROW(region->setDirtyBudget(0), FatalError);
+    const RegionStats stats = region->stats();
+    EXPECT_EQ(stats.dirtyBudgetPages, 64u);
+    EXPECT_EQ(stats.dirtyPages, 8u);
+
+    // One page per shard is still accepted, and every shard keeps a
+    // page of quota to admit into.
+    region->setDirtyBudget(4);
+    EXPECT_EQ(region->stats().dirtyBudgetPages, 4u);
+    for (std::uint64_t page = 0; page < region->pageCount(); page += 7)
+        base[page * page_size] = 'g';
+    EXPECT_LE(region->stats().dirtyPages, 4u);
 }
 
 TEST_F(ConcurrencyFixture, StoreStraddlingShardBoundary)

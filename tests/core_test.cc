@@ -409,8 +409,6 @@ class MockBackend : public PagingBackend
         return protected_.size();
     }
 
-    std::uint64_t pageSize() const override { return 4096; }
-
     void protectPage(PageNum p) override { protected_[p] = 1; }
     void unprotectPage(PageNum p) override { protected_[p] = 0; }
 

@@ -34,7 +34,6 @@ class LimitedBackend : public PagingBackend
     {
         return protected_.size();
     }
-    std::uint64_t pageSize() const override { return 4096; }
     void protectPage(PageNum p) override { protected_[p] = 1; }
     void unprotectPage(PageNum p) override { protected_[p] = 0; }
 
