@@ -367,8 +367,10 @@ DirtyBudgetController::pumpProactiveCopies(PageNum skip)
 {
     // Backends that complete copies inline re-enter through
     // onPersistComplete; the outer loop (which holds the `skip`
-    // exemption) does all the work, so nested pumps bail out.
-    if (pumping_)
+    // exemption) does all the work, so nested pumps bail out.  The
+    // emergency drain launches every dirty page itself, in page
+    // order, so its completions pump nothing.
+    if (pumping_ || emergencyFlush_)
         return;
     pumping_ = true;
     const std::uint64_t threshold = currentThreshold();
@@ -631,7 +633,9 @@ DirtyBudgetController::flushPageBlocking(PageNum page)
 std::uint64_t
 DirtyBudgetController::flushAllDirty()
 {
-    std::uint64_t flushed = 0;
+    // Copies already in flight land during the drain: the cut writes
+    // them too.
+    std::uint64_t flushed = inFlightCount_;
     emergencyFlush_ = true;
     // Power is out, so victim order no longer protects hot pages —
     // everything must be durable before the reserve drains.  Sweep

@@ -193,8 +193,10 @@ class DirtyBudgetController : public PersistClient
     std::uint64_t dirtyBudget() const { return budget_; }
 
     /**
-     * Emergency flush: persist every dirty page (power failure).
-     * @return number of pages flushed.
+     * Emergency flush: persist every dirty page (power failure), in
+     * page order; the proactive pump stands down until it returns.
+     * @return pages the drain wrote: the copies it launched plus
+     *         those already in flight when it began.
      */
     std::uint64_t flushAllDirty();
 

@@ -669,6 +669,34 @@ TEST(ControllerTest, FlushAllDirtyEmptiesTracker)
     }
 }
 
+TEST(ControllerTest, EmergencyDrainWritesEveryDirtyPageItself)
+{
+    // A 400-page burst epoch lowers the proactive threshold to half
+    // the budget, and the boundary's pump fills the 32-IO queue.  The
+    // drain must still launch every other dirty page itself, in page
+    // order, and count the whole dirty set: a pump running on its
+    // completions would launch half of it as proactive copies in
+    // recency order, outside the drain's count.
+    MockBackend backend(1024);
+    ViyojitConfig cfg;
+    cfg.dirtyBudgetPages = 512;
+    cfg.maxOutstandingIos = 32;
+    DirtyBudgetController ctl(backend, cfg);
+    for (PageNum p = 0; p < 400; ++p)
+        ctl.onWriteFault(p);
+    ctl.onEpochBoundary();
+    ASSERT_EQ(backend.outstandingIos(), 32u);
+    for (PageNum p = 400; p < 512; ++p)
+        ctl.onWriteFault(p);
+    ASSERT_EQ(ctl.tracker().count(), 512u);
+
+    const std::uint64_t proactive = ctl.stats().proactiveCopies;
+    EXPECT_EQ(ctl.flushAllDirty(), 512u);
+    EXPECT_EQ(ctl.stats().proactiveCopies, proactive);
+    EXPECT_EQ(ctl.tracker().count(), 0u);
+    EXPECT_EQ(backend.persistCount, 512u);
+}
+
 TEST(ControllerTest, FlushPageBlockingSinglePage)
 {
     MockBackend backend(16);
