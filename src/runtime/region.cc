@@ -241,7 +241,6 @@ struct NvRegion::Shard
     std::unique_ptr<ShardBackend> backend PT_GUARDED_BY(lock);
     std::unique_ptr<core::DirtyBudgetController> controller
         PT_GUARDED_BY(lock);
-
 };
 
 /**
