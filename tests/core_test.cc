@@ -673,10 +673,10 @@ TEST(ControllerTest, EmergencyDrainWritesEveryDirtyPageItself)
 {
     // A 400-page burst epoch lowers the proactive threshold to half
     // the budget, and the boundary's pump fills the 32-IO queue.  The
-    // drain must still launch every other dirty page itself, in page
-    // order, and count the whole dirty set: a pump running on its
-    // completions would launch half of it as proactive copies in
-    // recency order, outside the drain's count.
+    // drain must still launch every other dirty page itself and count
+    // the whole dirty set: a pump running on its completions would
+    // launch half of it as proactive copies, in recency order and
+    // outside the drain's count.
     MockBackend backend(1024);
     ViyojitConfig cfg;
     cfg.dirtyBudgetPages = 512;
