@@ -548,6 +548,15 @@ TEST(Crc32cTest, KnownAnswerVectors)
               0xE6ADC5B2u);
     page.assign(page.size(), 0);
     EXPECT_EQ(common::crc32c(page.data(), page.size()), 0x98F94189u);
+    // 2 KiB, the simulator's page: one three-lane block plus a tail.
+    std::vector<unsigned char> half(2048);
+    for (std::size_t i = 0; i < half.size(); ++i)
+        half[i] = static_cast<unsigned char>(i * 131 + 7);
+    EXPECT_EQ(common::crc32c(half.data(), half.size()), 0x4FA26A4Du);
+    EXPECT_EQ(common::crc32cPortable(half.data(), half.size()),
+              0x4FA26A4Du);
+    half.assign(half.size(), 0);
+    EXPECT_EQ(common::crc32c(half.data(), half.size()), 0xA489834Fu);
 }
 
 TEST(Crc32cTest, SeedChainsIncrementalComputation)
@@ -624,6 +633,44 @@ TEST(Crc32cTest, AcceleratedMatchesPortable)
                       want)
                 << "chained at " << split << " of " << len;
         }
+    }
+}
+
+TEST(Crc32cTest, ThreeLaneKernelMatchesPortable)
+{
+    // crc32c() runs three interleaved chains over 680-byte lanes once
+    // an input spans three lanes, and folds them by table; every
+    // length around that threshold, from every start offset within a
+    // cache line, must agree with the single-chain reference.
+    constexpr std::size_t kThreeLanes = 3 * 680;
+    constexpr std::size_t kMaxLen = 16 * 1024;
+    constexpr std::size_t kMaxOffset = 63;
+    Rng rng(25);
+    std::vector<unsigned char> buf(kMaxLen + kMaxOffset);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    const auto check = [&](std::size_t offset, std::size_t len) {
+        const unsigned char *p = buf.data() + offset;
+        const auto seed = static_cast<std::uint32_t>(rng.next());
+        const std::uint32_t want = common::crc32cPortable(p, len, seed);
+        ASSERT_EQ(common::crc32c(p, len, seed), want)
+            << "len " << len << " offset " << offset;
+        const std::size_t split = rng.nextBounded(len + 1);
+        ASSERT_EQ(common::crc32c(p + split, len - split,
+                                 common::crc32c(p, split, seed)),
+                  want)
+            << "chained at " << split << " of " << len << " offset "
+            << offset;
+    };
+    for (std::size_t len = 0; len <= kThreeLanes + 24; ++len) {
+        for (std::size_t offset = 0; offset <= kMaxOffset; ++offset)
+            check(offset, len);
+        if (HasFatalFailure())
+            return;
+    }
+    for (int i = 0; i < 2000 && !HasFatalFailure(); ++i) {
+        const std::size_t offset = rng.nextBounded(kMaxOffset + 1);
+        check(offset, rng.nextBounded(kMaxLen + 1));
     }
 }
 
